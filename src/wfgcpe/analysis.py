@@ -3,8 +3,11 @@
 Order relations are decided on probe grids (with explicit witnesses on
 violation); the decreasing-convex order is checked only against a fixed
 generator family, which is a documented limitation, not a proof. The
-Monte Carlo engine draws by inverse transform with per-replicate seed
-derivation, so results are bit-identical for any evaluation order.
+Monte Carlo engine draws by inverse transform from one counter-based
+Philox stream per seed, in which every replicate owns a fixed block of
+counters, so the draws are bit-identical for any evaluation order or
+chunking. Quantiles, ``Psi``, the sort and the spacings are whole-array
+operations over chunks of 2^18 draws.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel, prh_transform
 from .errors import DomainError, PreconditionUnmet
-from .measures import tau, weighted_cpe, wfgcpe
+from .measures import _check_gamma, tau, weighted_cpe, wfgcpe
 from .quadrature import Integrand, integrate
-from .weights import WeightFunction, power_weight
+from .weights import WeightFunction, _elementwise, power_weight
 
 HOLDS = "holds_on_grid"
 VIOLATED = "violated"
@@ -33,6 +36,11 @@ _GRID_TOL = 1e-9
 #: convex exponentials plus hinge functions (t - x)^+ on a small grid.
 _DCX_LAMBDAS = (0.5, 1.0, 2.0)
 _DCX_HINGES = 7
+
+#: Draws per Monte Carlo chunk: bounds memory at any replicate count. At
+#: 2 MiB per float array the chunk's temporaries stay cache-sized; 2^20
+#: ran 25-35% slower at n = 500 and n = 10^4.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -98,15 +106,18 @@ def check_order(m1: DistributionModel, m2: DistributionModel,
             return OrderVerdict("hr", INCONCLUSIVE, grid)
         return OrderVerdict("hr", HOLDS, grid)
     if relation == "disp":
+        # Q1(v) - Q1(u) <= Q2(v) - Q2(u) for all u < v, i.e.
+        # d = Q2 - Q1 is nondecreasing; the witness (u, v) is the first
+        # u = us[i] with a later d[j] < d[i], then the first such v = us[j]
         us = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-        q1 = np.array([m1.quantile(u) for u in us])
-        q2 = np.array([m2.quantile(u) for u in us])
-        for i in range(len(us)):
-            for j in range(i + 1, len(us)):
-                # u = us[i] < v = us[j]: require Q1(u)-Q1(v) >= Q2(u)-Q2(v)
-                if (q1[i] - q1[j]) < (q2[i] - q2[j]) - _GRID_TOL:
-                    return OrderVerdict("disp", VIOLATED, grid,
-                                        (float(us[i]), float(us[j])))
+        d = _elementwise(m2.quantile, us) - _elementwise(m1.quantile, us)
+        later_min = np.fmin.accumulate(d[::-1])[::-1][1:]
+        bad = np.flatnonzero(later_min < d[:-1] - _GRID_TOL)
+        if bad.size:
+            i = bad[0]
+            j = i + 1 + np.flatnonzero(d[i + 1:] < d[i] - _GRID_TOL)[0]
+            return OrderVerdict("disp", VIOLATED, grid,
+                                (float(us[i]), float(us[j])))
         return OrderVerdict("disp", HOLDS, grid)
     if relation == "dcx":
         lo, hi = _finite_probe_interval(m1, m2)
@@ -436,8 +447,10 @@ class SimulationConfig:
             raise DomainError("require replicates >= 1")
         if self.n < 2:
             raise DomainError("require n >= 2")
-        if self.gamma <= 0:
-            raise DomainError("require gamma > 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError(
+                f"require a nonnegative integer seed, got {self.seed!r}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -452,23 +465,28 @@ class SimulationSummary:
         return self.variance is not None
 
 
-def _draw_uniforms(seed: int, replicates: int, n: int) -> np.ndarray:
-    """Per-replicate uniforms; replicate ``i`` uses the i-th spawned child
-    stream of ``seed``, so the output is independent of evaluation order."""
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    out = np.empty((replicates, n))
-    for i, child in enumerate(children):
-        out[i] = np.random.default_rng(child).random(n)
-    return out
+def _draw_uniforms(seed: int, replicates: int, n: int,
+                   start: int = 0) -> np.ndarray:
+    """Uniforms of replicates ``start, ..., start + replicates - 1``, one
+    row of ``n`` each, from the counter-based Philox stream of ``seed``.
+
+    Philox yields four 64-bit words per counter step and a double takes
+    one word, so replicate ``i`` owns the counter block
+    ``[i m, (i + 1) m)`` with ``m = ceil(n / 4)`` and is reached by
+    ``advance``: a row is the same in any chunk and any evaluation order.
+    """
+    m = -(-n // 4)
+    bits = np.random.Philox(np.random.SeedSequence(seed))
+    bits.advance(start * m)
+    return np.random.Generator(bits).random((replicates, 4 * m))[:, :n]
 
 
 def _spacings_from_uniforms(u: np.ndarray, population: DistributionModel,
                             weight: WeightFunction) -> np.ndarray:
     """Spacings ``Z`` of the antiderivative-transformed order statistics,
     one row per replicate. Independent of the fractional order."""
-    x = np.sort(np.vectorize(population.quantile)(u), axis=1)
-    big = np.vectorize(weight.big_psi)(x)
-    return np.diff(big, axis=1)
+    x = np.sort(_elementwise(population.quantile, u), axis=1)
+    return np.diff(_elementwise(weight.big_psi, x), axis=1)
 
 
 def simulate_estimator(config: SimulationConfig,
@@ -477,20 +495,27 @@ def simulate_estimator(config: SimulationConfig,
 
     With ``gammas`` given, the same draws are reused for each order and a
     dict order -> summary is returned (the draws dominate the cost).
+    Replicates are processed in chunks of about ``_CHUNK_ELEMENTS`` draws.
     """
-    u = _draw_uniforms(config.seed, config.replicates, config.n)
-    z = _spacings_from_uniforms(u, config.population, config.weight)
     if gammas is None:
         gammas_eff, single = [config.gamma], True
     else:
         gammas_eff, single = list(gammas), False
-    n = config.n
-    l = np.arange(1, n)
+    n, reps = config.n, config.replicates
+    r = np.arange(1, n) / n
+    coeffs = {g: r * (-np.log(r)) ** g for g in gammas_eff}
+    sums = {g: np.empty(reps) for g in gammas_eff}
+    rows = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, reps, rows):
+        k = min(rows, reps - start)
+        u = _draw_uniforms(config.seed, k, n, start)
+        z = _spacings_from_uniforms(u, config.population, config.weight)
+        for g, coeff in coeffs.items():
+            sums[g][start:start + k] = z @ coeff
     out = {}
     for g in gammas_eff:
-        coeff = (l / n) * (-np.log(l / n)) ** g
-        vals = z @ coeff / _gamma(g + 1.0)
-        var = float(np.var(vals, ddof=1)) if config.replicates > 1 else None
+        vals = sums[g] / _gamma(g + 1.0)
+        var = float(np.var(vals, ddof=1)) if reps > 1 else None
         out[g] = SimulationSummary(float(vals.mean()), var, vals, config.seed)
     return out[config.gamma] if single else out
 

@@ -116,7 +116,11 @@ def _weight_from_args(args, model=None):
         knots = []
         for part in args.weight_custom.split(";"):
             x, _, y = part.partition(":")
-            knots.append((float(x), float(y)))
+            try:
+                knots.append((float(x), float(y)))
+            except ValueError:
+                raise DomainError(f"--weight-custom knot {part!r} is not "
+                                  "of the form X:Y") from None
         xs, ys = zip(*knots)
         return piecewise_linear_weight(xs, ys)
     if args.weight == "selfdensity":

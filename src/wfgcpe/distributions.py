@@ -25,6 +25,13 @@ _PROBE_POINTS = 1024
 class DistributionModel:
     """CDF/PDF/quantile bundle on support ``(lo, hi)`` with ``hi <= inf``.
 
+    The builtin families' ``cdf`` and ``quantile`` take a float or an
+    ndarray (elementwise). They try the ``math`` path first, which the
+    quadrature calls millions of times; an ndarray makes it raise
+    ``TypeError`` (or ``ValueError`` from a scalar comparison) and takes
+    the numpy path, so floats pay nothing for the dispatch. User
+    callables may take floats only.
+
     ``closed_wfgcpe(tag, gamma)`` returns the closed-form entropy for a
     weight tag when the family has one; it raises ``KeyError`` for
     unsupported tags and ``ConstraintError`` when ``gamma`` sits at or
@@ -106,8 +113,14 @@ def make_power(b: float, c: float) -> DistributionModel:
             return (b ** 3 / c) * math.exp(-(g + 1.0) * math.log1p(3.0 / c))
         raise KeyError(tag)
 
+    def cdf(x):
+        try:
+            return min(max(x / b, 0.0), 1.0) ** c
+        except ValueError:  # an ndarray
+            return np.clip(x / b, 0.0, 1.0) ** c
+
     return DistributionModel(
-        cdf=lambda x: min(max(x / b, 0.0), 1.0) ** c,
+        cdf=cdf,
         pdf=lambda x: c * x ** (c - 1.0) / b ** c if 0.0 < x < b else 0.0,
         quantile=lambda u: b * u ** (1.0 / c),
         support=(0.0, b),
@@ -134,8 +147,14 @@ def make_uniform_shifted(a: float) -> DistributionModel:
                     + a * a * 2.0 ** -(g + 1.0))
         raise KeyError(tag)
 
+    def cdf(x):
+        try:
+            return min(max(x - a, 0.0), 1.0)
+        except ValueError:  # an ndarray
+            return np.clip(x - a, 0.0, 1.0)
+
     return DistributionModel(
-        cdf=lambda x: min(max(x - a, 0.0), 1.0),
+        cdf=cdf,
         pdf=lambda x: 1.0 if a < x < a + 1.0 else 0.0,
         quantile=lambda u: a + u,
         support=(a, a + 1.0),
@@ -166,11 +185,24 @@ def make_frechet(b: float, c: float) -> DistributionModel:
                 f"got {g:g} (integral diverges)")
         return b ** (m / c) * _gamma(g - m / c) / (c * _gamma(g + 1.0))
 
+    def cdf(x):
+        try:
+            return math.exp(-b * x ** -c) if x > 0 else 0.0
+        except (TypeError, ValueError):  # an ndarray
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x > 0, np.exp(-b * x ** -c), 0.0)
+
+    def quantile(u):
+        try:
+            return (b / -math.log(u)) ** (1.0 / c)
+        except TypeError:  # an ndarray
+            return (b / -np.log(u)) ** (1.0 / c)
+
     return DistributionModel(
-        cdf=lambda x: math.exp(-b * x ** -c) if x > 0 else 0.0,
+        cdf=cdf,
         pdf=lambda x: b * c * x ** (-c - 1.0) * math.exp(-b * x ** -c)
         if x > 0 else 0.0,
-        quantile=lambda u: (b / -math.log(u)) ** (1.0 / c),
+        quantile=quantile,
         support=(0.0, math.inf),
         family="frechet", params={"b": b, "c": c},
         closed_wfgcpe=closed,
@@ -182,11 +214,24 @@ def make_frechet(b: float, c: float) -> DistributionModel:
 def make_weibull_square(theta: float) -> DistributionModel:
     """Weibull with shape 2: ``K(x) = 1 - exp(-theta x^2)`` on ``(0, inf)``."""
     _check_positive(theta=theta)
+
+    def cdf(x):
+        try:
+            return -math.expm1(-theta * x * x) if x > 0 else 0.0
+        except (TypeError, ValueError):  # an ndarray
+            return np.where(x > 0, -np.expm1(-theta * x * x), 0.0)
+
+    def quantile(u):
+        try:
+            return math.sqrt(-math.log1p(-u) / theta)
+        except TypeError:  # an ndarray
+            return np.sqrt(-np.log1p(-u) / theta)
+
     return DistributionModel(
-        cdf=lambda x: -math.expm1(-theta * x * x) if x > 0 else 0.0,
+        cdf=cdf,
         pdf=lambda x: 2.0 * theta * x * math.exp(-theta * x * x)
         if x > 0 else 0.0,
-        quantile=lambda u: math.sqrt(-math.log1p(-u) / theta),
+        quantile=quantile,
         support=(0.0, math.inf),
         family="weibull_square", params={"theta": theta},
         tail_hint=("decay_at_infinity",),
@@ -197,10 +242,23 @@ def make_weibull_square(theta: float) -> DistributionModel:
 def make_exponential(rate: float) -> DistributionModel:
     """Exponential distribution ``K(x) = 1 - exp(-rate x)`` (DFR boundary)."""
     _check_positive(rate=rate)
+
+    def cdf(x):
+        try:
+            return -math.expm1(-rate * x) if x > 0 else 0.0
+        except (TypeError, ValueError):  # an ndarray
+            return np.where(x > 0, -np.expm1(-rate * x), 0.0)
+
+    def quantile(u):
+        try:
+            return -math.log1p(-u) / rate
+        except TypeError:  # an ndarray
+            return -np.log1p(-u) / rate
+
     return DistributionModel(
-        cdf=lambda x: -math.expm1(-rate * x) if x > 0 else 0.0,
+        cdf=cdf,
         pdf=lambda x: rate * math.exp(-rate * x) if x > 0 else 0.0,
-        quantile=lambda u: -math.log1p(-u) / rate,
+        quantile=quantile,
         support=(0.0, math.inf),
         family="exponential", params={"rate": rate},
         tail_hint=("decay_at_infinity",),

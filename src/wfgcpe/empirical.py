@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError, ParseError, ValidationError
-from .weights import WeightFunction
+from .weights import WeightFunction, _elementwise
 
 #: Ordered lifetimes (in days) of 43 blood cancer patients from one of the
 #: Ministry of Health hospitals in Saudi Arabia, as published by Abouammoh,
@@ -80,7 +80,7 @@ class SpacingSummary:
 
 def spacing_summary(sample: EmpiricalSample,
                     psi: WeightFunction) -> SpacingSummary:
-    big = np.array([psi.big_psi(t) for t in sample.values])
+    big = _elementwise(psi.big_psi, sample.values)
     return SpacingSummary(np.diff(big), psi.tag)
 
 

@@ -36,8 +36,8 @@ class MeasureReport:
 
 
 def _check_gamma(gamma: float):
-    if not gamma > 0:
-        raise DomainError(f"require gamma > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"require finite gamma > 0, got {gamma}")
 
 
 def _cpe_integrand(model: DistributionModel, psi, gamma: float):

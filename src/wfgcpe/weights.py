@@ -3,8 +3,9 @@
 The entropy functionals are "length-biased" through a weight ``psi``; the
 empirical estimator additionally needs its antiderivative ``Psi`` and the
 proportional-reversed-hazard decomposition needs the derivative
-``psi'``. Builtins carry all three in closed form; custom weights fall
-back to numerical differentiation / cumulative quadrature.
+``psi'``. Builtins carry all three in closed form, and their ``Psi``
+takes a float or an ndarray; custom weights fall back to numerical
+differentiation / cumulative quadrature.
 """
 
 from __future__ import annotations
@@ -13,13 +14,28 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import WeightAntiderivativeUnavailable
+import numpy as np
+
+from .errors import DomainError, WeightAntiderivativeUnavailable
 from .quadrature import Integrand, integrate
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
 CONSTANT = "constant"
 NEITHER = "neither"
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` at every element of ``x``: one call when ``fn`` takes arrays
+    (the builtin models' ``cdf``/``quantile`` and weights' ``Psi``), else
+    an elementwise map for user callables written for floats."""
+    try:
+        y = fn(x)
+    except (TypeError, ValueError):
+        y = None
+    if isinstance(y, np.ndarray) and y.shape == x.shape:
+        return y
+    return np.vectorize(fn, otypes=[float])(x)
 
 
 @dataclass(frozen=True)
@@ -45,9 +61,11 @@ class WeightFunction:
 
         The fallback anchors ``Psi(0) = 0``, which matches every closed
         form shipped here; only differences of ``Psi`` are ever used.
+        The fallback takes floats only.
         """
         if self.antiderivative is not None:
             return self.antiderivative(x)
+        x = float(x)
         if x == 0.0:
             return 0.0
         try:
@@ -82,8 +100,13 @@ def weight_sqrt_x() -> WeightFunction:
 
 
 def weight_exp_neg() -> WeightFunction:
-    return WeightFunction(lambda x: math.exp(-x),
-                          lambda x: -math.expm1(-x),
+    def big(x):
+        try:
+            return -math.expm1(-x)
+        except TypeError:  # an ndarray; see DistributionModel
+            return -np.expm1(-x)
+
+    return WeightFunction(lambda x: math.exp(-x), big,
                           lambda x: -math.exp(-x),
                           DECREASING, "expneg")
 
@@ -112,35 +135,37 @@ def custom_weight(psi, antiderivative=None, derivative=None,
 def piecewise_linear_weight(xs, ys) -> WeightFunction:
     """Piecewise-linear weight from a table, with trapezoid antiderivative.
 
-    Outside the table the weight is extended by its endpoint values.
+    Outside the table the weight is extended by its endpoint values. Both
+    ``psi`` and ``Psi`` take a float or an ndarray.
     """
-    import numpy as np
-
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
-        raise ValueError("need matching 1-d tables with at least two knots")
+        raise DomainError("need matching 1-d tables with at least two knots")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("knot locations and weight values must be finite")
     if np.any(np.diff(xs) <= 0):
-        raise ValueError("knot locations must be strictly increasing")
+        raise DomainError("knot locations must be strictly increasing")
     if np.any(ys < 0):
-        raise ValueError("weight values must be nonnegative")
+        raise DomainError("weight values must be nonnegative")
 
     # cumulative trapezoid areas at the knots, anchored at Psi(xs[0]) = 0
     areas = np.concatenate(
         [[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))])
+    last = len(xs) - 1
 
     def psi(x):
-        return float(np.interp(x, xs, ys))
+        y = np.interp(x, xs, ys)
+        return y if isinstance(x, np.ndarray) else float(y)
 
     def big(x):
-        x = float(x)
-        if x <= xs[0]:
-            return float(ys[0] * (x - xs[0]))
-        if x >= xs[-1]:
-            return float(areas[-1] + ys[-1] * (x - xs[-1]))
-        i = int(np.searchsorted(xs, x) - 1)
+        # the knot at or left of x; below the table, the first knot
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, last)
         y = np.interp(x, xs, ys)
-        return float(areas[i] + 0.5 * (ys[i] + y) * (x - xs[i]))
+        # the trapezoid from knot i to x; beyond either end of the table
+        # y is the endpoint value, which extends the weight as a constant
+        out = areas[i] + 0.5 * (ys[i] + y) * (x - xs[i])
+        return out if isinstance(x, np.ndarray) else float(out)
 
     d = np.diff(ys)
     if np.all(d >= 0):

@@ -5,19 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from wfgcpe.analysis import (SimulationConfig, bound_suite, check_order,
-                             clt_diagnostic, consistency_profile,
-                             convolution_cdf_grid,
+from wfgcpe import analysis
+from wfgcpe.analysis import (SimulationConfig, _draw_uniforms, bound_suite,
+                             check_order, clt_diagnostic,
+                             consistency_profile, convolution_cdf_grid,
                              dispersive_implies_wfgcpe_order,
                              find_st_counterexample,
                              hr_dfr_implies_wfgcpe_order, is_dfr,
                              mean_value_identity, prh_bound_check,
                              simulate_estimator, sum_bound_check)
-from wfgcpe.distributions import (make_exponential, make_power,
-                                  make_uniform_shifted, make_weibull_square)
+from wfgcpe.distributions import (make_custom, make_exponential,
+                                  make_frechet, make_power,
+                                  make_uniform_shifted, make_weibull_square,
+                                  prh_transform)
 from wfgcpe.errors import DomainError, PreconditionUnmet
 from wfgcpe.measures import wfgcpe
-from wfgcpe.weights import (self_density_weight, weight_exp_neg, weight_one,
+from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight,
+                            piecewise_linear_weight, power_weight,
+                            self_density_weight, weight_exp_neg, weight_one,
                             weight_x)
 
 
@@ -39,6 +44,39 @@ def test_check_order_dispersive_scaling():
     wide = make_power(2.0, 1.0)  # uniform on (0, 2): quantile gap doubled
     assert check_order(narrow, wide, "disp").holds
     assert not check_order(wide, narrow, "disp").holds
+
+
+def _disp_loop(m1, m2, grid=256):
+    """The O(grid^2) pairwise dispersive check, kept as the reference."""
+    us = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+    q1 = np.array([m1.quantile(u) for u in us])
+    q2 = np.array([m2.quantile(u) for u in us])
+    for i in range(len(us)):
+        for j in range(i + 1, len(us)):
+            if (q1[i] - q1[j]) < (q2[i] - q2[j]) - 1e-9:
+                return "violated", (float(us[i]), float(us[j]))
+    return "holds_on_grid", None
+
+
+DISP_PAIRS = [
+    (make_exponential(2.0), make_exponential(1.0)),
+    (make_exponential(1.0), make_exponential(2.0)),
+    (make_uniform_shifted(0.0), make_power(2.0, 1.0)),
+    (make_power(2.0, 1.0), make_uniform_shifted(0.0)),
+    # Q_exp - Q_weib = t - sqrt(t), t = -ln(1 - u): falls, then rises
+    (make_weibull_square(1.0), make_exponential(1.0)),
+    # the reverse rises, then falls: the witness v lies inside the grid
+    (make_exponential(1.0), make_weibull_square(1.0)),
+    (make_power(1.0, 2.0), make_power(1.0, 0.5)),
+    (make_frechet(1.0, 4.0), make_exponential(0.5)),
+]
+
+
+@pytest.mark.parametrize("m1, m2", DISP_PAIRS,
+                         ids=lambda m: f"{m.family}{m.params}")
+def test_check_order_disp_matches_pairwise_loop(m1, m2):
+    verdict = check_order(m1, m2, "disp")
+    assert (verdict.status, verdict.witness) == _disp_loop(m1, m2)
 
 
 def test_check_order_grid_validation():
@@ -194,8 +232,106 @@ def test_simulation_config_validation():
         _config(replicates=0)
     with pytest.raises(DomainError):
         _config(n=1)
-    with pytest.raises(DomainError):
-        _config(gamma=0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            _config(gamma=gamma)
+    for seed in (-1, 1.5, "7"):
+        with pytest.raises(DomainError):
+            _config(seed=seed)
+
+
+@pytest.mark.parametrize("n", (5, 8, 15, 500))
+def test_draw_uniforms_chunk_invariant(n):
+    reps, seed = 23, 77
+    whole = _draw_uniforms(seed, reps, n)
+    assert whole.shape == (reps, n)
+    assert np.all((whole >= 0.0) & (whole < 1.0))
+    # chunk sizes that are not multiples of 4, and one row at a time
+    for sizes in ((7, 5, 11), (3,) * 7 + (2,), (1,) * reps):
+        start, rows = 0, []
+        for k in sizes:
+            rows.append(_draw_uniforms(seed, k, n, start))
+            start += k
+        assert start == reps
+        assert np.array_equal(np.vstack(rows), whole)
+    # rows are drawn from disjoint counter blocks
+    assert len(np.unique(whole)) == whole.size
+
+
+def test_simulate_chunking_is_invisible(monkeypatch):
+    whole = simulate_estimator(_config(), gammas=(0.5, 1.5))
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 30)  # 3 rows of n=8
+    chunked = simulate_estimator(_config(), gammas=(0.5, 1.5))
+    for g in (0.5, 1.5):
+        np.testing.assert_allclose(chunked[g].values, whole[g].values,
+                                   rtol=1e-14, atol=0.0)
+
+
+ARRAY_FAMILIES = [
+    make_power(2.0, 3.0), make_uniform_shifted(0.5), make_frechet(1.0, 4.0),
+    make_weibull_square(1.5), make_exponential(2.0),
+    prh_transform(make_power(1.0, 2.0), 1.7),
+    prh_transform(make_weibull_square(1.0), 0.6),
+]
+
+
+def _scalar_map(fn, xs):
+    return np.array([fn(float(x)) for x in xs])
+
+
+def _assert_cdf_close(got, want):
+    """Within rtol=1e-15 times the condition number ``max(1, -ln K)`` of
+    ``exp``: a K = exp(-y) computed from a y one ulp apart (numpy's SIMD
+    ``pow`` and libm's differ by up to one) differs by ``y`` ulps."""
+    cond = np.maximum(1.0, -np.log(np.where(want > 0.0, want, 1.0)))
+    assert np.all(np.abs(got - want) <= 1e-15 * cond * want)
+
+
+@pytest.mark.parametrize("model", ARRAY_FAMILIES, ids=lambda m: m.family)
+def test_family_array_quantile_and_cdf_match_scalar(model):
+    us = np.concatenate([np.linspace(0.0, 1.0, 203)[1:-1],
+                         [1e-300, 1e-12, 1.0 - 1e-12]])
+    got = model.quantile(us)
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_allclose(got, _scalar_map(model.quantile, us),
+                               rtol=1e-15, atol=0.0)
+    lo = model.support[0]
+    xs = np.concatenate([[lo - 1.0, lo], lo + np.linspace(0.0, 6.0, 301)])
+    got = model.cdf(xs)
+    assert isinstance(got, np.ndarray)
+    _assert_cdf_close(got, _scalar_map(model.cdf, xs))
+
+
+ARRAY_WEIGHTS = [factory() for factory in BUILTIN_WEIGHTS.values()] + [
+    power_weight(1.5), self_density_weight(make_weibull_square(1.0)),
+    piecewise_linear_weight([0.5, 1.0, 2.5], [1.0, 3.0, 0.5]),
+]
+
+
+@pytest.mark.parametrize("weight", ARRAY_WEIGHTS, ids=lambda w: w.tag)
+def test_weight_array_big_psi_matches_scalar(weight):
+    xs = np.concatenate([[0.0, 0.5, 1.0, 2.5], np.linspace(0.0, 6.0, 257)])
+    got = weight.big_psi(xs)
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_allclose(got, _scalar_map(weight.big_psi, xs),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_simulate_scalar_only_custom_model_and_weights():
+    # math-only callables reject arrays and go through the elementwise map
+    square = make_custom(cdf=lambda x: min(max(x, 0.0), 1.0) ** 2,
+                         pdf=lambda x: 2.0 * x if 0.0 < x < 1.0 else 0.0,
+                         quantile=lambda u: math.sqrt(u),
+                         support=(0.0, 1.0))
+    with pytest.raises(TypeError):
+        square.quantile(np.array([0.25, 0.5]))
+    reference = simulate_estimator(_config(replicates=40, n=5))
+    closed = custom_weight(lambda x: x, lambda x: 0.5 * math.pow(x, 2))
+    quad = custom_weight(lambda x: x)  # Psi by quadrature, floats only
+    for weight, rtol in ((closed, 1e-12), (quad, 1e-8)):
+        got = simulate_estimator(_config(replicates=40, n=5,
+                                         population=square, weight=weight))
+        np.testing.assert_allclose(got.values, reference.values, rtol=rtol)
 
 
 def test_clt_small_n_reports_only():

@@ -135,6 +135,30 @@ def test_custom_weight_table(capsys):
     assert abs(json.loads(out)["rows"][0]["value"] - 0.25) < 1e-9
 
 
+@pytest.mark.parametrize("table", ["1:2;x", "1:2", "0:1;2:1;1:1"])
+def test_custom_weight_table_malformed_exit_2(capsys, table):
+    code, out, err = run(capsys, "compute", "--dist", "uniform",
+                         "--weight-custom", table, "--gamma", "1.0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_compute_non_finite_gamma_exit_2(capsys):
+    for gamma in ("inf", "nan"):
+        code, out, err = run(capsys, "compute", "--dist", "power", "--b",
+                             "1", "--c", "2", "--weight", "x", "--gamma",
+                             gamma)
+        assert code == 2 and out == ""
+        assert "gamma" in err
+
+
+def test_simulate_negative_seed_exit_2(capsys):
+    code, out, err = run(capsys, "simulate", "--pop", "power-square", "--n",
+                         "5", "--gamma", "0.5", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed" in err
+
+
 def test_simulate_seed_reproducibility(capsys):
     args = ("simulate", "--pop", "power-square", "--n", "5", "--gamma",
             "0.25", "--replicates", "400", "--seed", "99", "--format", "json")

@@ -14,7 +14,9 @@ from wfgcpe.empirical import (BLOOD_CANCER_43_LITERAL, as_sample,
                               load_dataset, spacing_summary)
 from wfgcpe.errors import DomainError, ParseError, ValidationError
 from wfgcpe.quadrature import gamma_fn
-from wfgcpe.weights import weight_one, weight_sqrt_x, weight_x
+from wfgcpe.weights import (custom_weight, piecewise_linear_weight,
+                            weight_exp_neg, weight_one, weight_sqrt_x,
+                            weight_x)
 
 
 def test_empirical_cdf_steps():
@@ -87,6 +89,19 @@ def test_ties_give_zero_spacings():
     z = spacing_summary(s, weight_x()).spacings
     assert z[1] == 0.0
     assert np.isfinite(empirical_wfgcpe(s, weight_x(), 0.5))
+
+
+@pytest.mark.parametrize("weight", [
+    weight_sqrt_x(), weight_exp_neg(),
+    piecewise_linear_weight([0.0, 1.0, 4.0], [1.0, 0.5, 2.0]),
+    custom_weight(lambda x: x, lambda x: 0.5 * math.pow(x, 2)),
+], ids=lambda w: w.tag)
+def test_spacings_match_elementwise_psi(weight):
+    # one whole-sample Psi call, or the map for a float-only antiderivative
+    s = as_sample(np.random.default_rng(5).exponential(1.5, 200))
+    z = spacing_summary(s, weight).spacings
+    big = np.array([weight.big_psi(float(t)) for t in s.values])
+    np.testing.assert_allclose(z, np.diff(big), rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

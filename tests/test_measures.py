@@ -40,8 +40,9 @@ def test_wfgcpe_nonnegative_and_method_tags():
     assert r.method == "closed_form" and r.value >= 0.0
     r = wfgcpe(m, weight_x(), 0.5, method="quadrature")
     assert r.method == "quadrature" and r.quadrature.converged
-    with pytest.raises(DomainError):
-        wfgcpe(m, weight_x(), 0.0)
+    for gamma in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            wfgcpe(m, weight_x(), gamma)
     with pytest.raises(DomainError):
         wfgcpe(m, weight_x(), 0.5, method="telepathy")
 

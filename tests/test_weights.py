@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wfgcpe.errors import WeightAntiderivativeUnavailable
+from wfgcpe.errors import DomainError, WeightAntiderivativeUnavailable
 from wfgcpe.weights import (custom_weight, piecewise_linear_weight,
                             power_weight, weight_exp_neg, weight_one,
                             weight_sqrt_x, weight_x, weight_x_squared)
@@ -69,13 +69,28 @@ def test_piecewise_linear_weight():
     assert w.monotonicity == "increasing"
 
 
+def test_piecewise_linear_weight_takes_arrays():
+    w = piecewise_linear_weight([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
+    xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    psi, big = w(xs), w.big_psi(xs)
+    assert isinstance(psi, np.ndarray) and isinstance(big, np.ndarray)
+    assert list(psi) == [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+    np.testing.assert_allclose(big, [0.0, 0.0, 0.25, 1.0, 2.0, 3.0, 5.0],
+                               rtol=1e-15, atol=0.0)
+    assert big[3] == w.big_psi(1.0) and isinstance(w.big_psi(1.0), float)
+
+
 def test_piecewise_linear_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         piecewise_linear_weight([0.0], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         piecewise_linear_weight([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         piecewise_linear_weight([0.0, 1.0], [1.0, -1.0])
+    with pytest.raises(DomainError):
+        piecewise_linear_weight([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(DomainError):
+        piecewise_linear_weight([0.0, math.nan], [1.0, 1.0])
 
 
 def test_monotonicity_tags():
