@@ -21,7 +21,7 @@ import scipy.stats
 from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel, prh_transform
-from .errors import DomainError, PreconditionUnmet
+from .errors import DomainError, PreconditionUnmet, WfgcpeError
 from .measures import _check_gamma, tau, weighted_cpe, wfgcpe
 from .quadrature import Integrand, integrate
 from .weights import WeightFunction, _elementwise, power_weight
@@ -271,7 +271,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
         rhs_b = math.exp(ln_d + h_x) / g1
         reports.append(CheckReport("log_sum_entropy_lower_bound", cpe, rhs_b,
                                    cpe >= rhs_b - 1e-9, cpe - rhs_b))
-    except Exception as exc:  # divergent D or H: bound vacuous
+    except (WfgcpeError, ValueError, OverflowError,
+            ZeroDivisionError) as exc:  # divergent D or H: bound vacuous
         reports.append(CheckReport("log_sum_entropy_lower_bound", cpe,
                                    math.nan, True, math.nan,
                                    note=f"inapplicable: {exc}"))

@@ -8,6 +8,7 @@ diagnostics go to stderr. Exit codes: 0 ok, 2 usage error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -418,9 +419,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_threads_env()
         doc = _COMMANDS[args.verb](args)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError, ParseError, ValidationError
+from .measures import _check_gamma
 from .weights import WeightFunction, _elementwise
 
 #: Ordered lifetimes (in days) of 43 blood cancer patients from one of the
@@ -101,8 +103,7 @@ def _estimator_coefficients(n: int, gamma: float) -> np.ndarray:
 def empirical_wfgcpe(sample: EmpiricalSample, psi: WeightFunction,
                      gamma: float) -> float:
     """Plug-in estimator of the weighted fractional cumulative past entropy."""
-    if gamma <= 0:
-        raise DomainError(f"require gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     z = spacing_summary(sample, psi).spacings
     coeff = _estimator_coefficients(sample.n, gamma)
     return float(z @ coeff) / _gamma(gamma + 1.0)
@@ -183,8 +184,7 @@ def exact_moments_self_weight(n: int, gamma: float,
 def _check_moment_args(n, gamma):
     if n < 2 or n != int(n):
         raise DomainError(f"require integer n >= 2, got {n}")
-    if gamma <= 0:
-        raise DomainError(f"require gamma > 0, got {gamma}")
+    _check_gamma(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +212,71 @@ def load_dataset(path_or_tag: str, reading: str = "corrected",
     return _load_file(path_or_tag)
 
 
+#: Characters read per block. A block ends at its last newline, so it
+#: holds whole lines, and peak memory follows the block, not the file.
+_BLOCK_BYTES = 1 << 20
+#: Values written per ``write`` call by :func:`export_dataset`.
+_EXPORT_CHUNK = 1 << 16
+_COMMENT = re.compile(r"#[^\n]*")
+
+
 def _load_file(path: str) -> EmpiricalSample:
+    """Parse ``#`` comments, blank lines and numbers separated by commas
+    or whitespace, a block of whole lines at a time."""
     if not os.path.exists(path):
         raise ParseError(f"no such file: {path}")
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            for token in text.replace(",", " ").split():
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: not a number: {token!r}",
-                        line=lineno) from None
-    if not values:
+    blocks = []
+    lineno = 0
+    pending = []  # text read after the last newline
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while chunk := fh.read(_BLOCK_BYTES):
+                cut = chunk.rfind("\n") + 1
+                if not cut:
+                    pending.append(chunk)
+                    continue
+                pending.append(chunk[:cut])
+                text = "".join(pending)
+                pending = [chunk[cut:]]
+                blocks.append(_parse_block(text, lineno, path))
+                lineno += text.count("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    blocks.append(_parse_block("".join(pending), lineno, path))
+    values = np.concatenate(blocks)
+    if not values.size:
         raise ParseError(f"{path}: no numeric data found")
     return as_sample(values, source=path)
+
+
+def _parse_block(text: str, lineno: int, path: str) -> np.ndarray:
+    """Values of a block of lines whose first follows line ``lineno``."""
+    body = _COMMENT.sub("", text) if "#" in text else text
+    try:
+        # numpy converts each token with the rules of ``float()``
+        return np.array(body.replace(",", " ").split(), dtype=float)
+    except ValueError:
+        return _parse_lines(text, lineno, path)
+
+
+def _parse_lines(text: str, lineno: int, path: str) -> np.ndarray:
+    """Token-by-token parse of one block; names the first bad token."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=lineno + 1):
+        for token in line.split("#", 1)[0].replace(",", " ").split():
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: not a number: {token!r}",
+                    line=lineno) from None
+    return np.array(values, dtype=float)
 
 
 def export_dataset(sample: EmpiricalSample, path: str):
     """Write a sample as one value per line, round-trippable by
     ``load_dataset``."""
     with open(path, "w") as fh:
-        for v in sample.values:
-            fh.write(f"{float(v)!r}\n")
+        for start in range(0, sample.n, _EXPORT_CHUNK):
+            chunk = sample.values[start:start + _EXPORT_CHUNK].tolist()
+            fh.write("\n".join(map(repr, chunk)) + "\n")

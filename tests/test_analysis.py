@@ -1,5 +1,6 @@
 """Tests for ordering verifiers, bound checks, and the Monte Carlo harness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,22 @@ def test_bound_suite_sample():
     names = {r.name for r in reports}
     assert "one_minus_cdf_lower_bound" in names
     assert "log_sum_entropy_lower_bound" in names
+
+
+def test_bound_suite_log_sum_reports_divergence_not_bugs():
+    base = make_power(1.0, 2.0)
+    # a zero density makes H(X) diverge: the bound is vacuous, not an error
+    zero = dataclasses.replace(base, pdf=lambda x: 0.0)
+    rep = {r.name: r for r in bound_suite(zero, weight_x(), 1.0)}
+    rep = rep["log_sum_entropy_lower_bound"]
+    assert rep.holds and math.isnan(rep.rhs)
+    assert rep.note.startswith("inapplicable: math domain error")
+
+    def broken(x):
+        raise TypeError("density bug")
+
+    with pytest.raises(TypeError, match="density bug"):
+        bound_suite(dataclasses.replace(base, pdf=broken), weight_x(), 1.0)
 
 
 def test_monotone_weight_bound_directions():

@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
+from wfgcpe import cli
 from wfgcpe.cli import TABLE3_PUBLISHED, main
 from wfgcpe.empirical import (empirical_wfgcpe, exact_moments_power_square,
                               load_dataset)
@@ -109,6 +112,24 @@ def test_estimate_bad_file_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "estimate", "--input", str(p),
                        "--weight", "x", "--gamma", "0.5")
     assert code == 3
+
+
+def test_estimate_undecodable_file_exit_3(capsys, tmp_path):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"\xff\xfe1.0\n")
+    code, out, err = run(capsys, "estimate", "--input", str(p),
+                         "--weight", "x", "--gamma", "0.5")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and str(p) in err
+
+
+def test_estimate_non_finite_gamma_exit_2(capsys):
+    for gamma in ("inf", "nan"):
+        code, out, err = run(capsys, "estimate", "--builtin",
+                             "blood_cancer_43", "--weight", "x", "--gamma",
+                             gamma)
+        assert code == 2 and out == ""
+        assert "gamma" in err
 
 
 def test_estimate_export_round_trip(capsys, tmp_path):
@@ -267,3 +288,37 @@ def test_threads_env_never_affects_results(capsys, monkeypatch):
     monkeypatch.setenv("WFGCPE_THREADS", "16")
     _, capped, _ = run(capsys, *args)
     assert base == capped
+
+
+def test_parser_is_built_lazily():
+    code = ("import wfgcpe.cli as c; n = c._parser.cache_info().currsize; "
+            "c.main(['compute', '--dist', 'power', '--weight', 'x', "
+            "'--gamma', '1']); "
+            "print(n, c._parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 1"
+
+
+def test_shared_parser_keeps_verbs_apart(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("# lifetimes\n3.0, 1.0\n2.0 5.0\n")
+    calls = [
+        ("compute", "--dist", "power", "--b", "2", "--gamma", "0.5",
+         "--format", "json"),
+        ("simulate", "--pop", "power-square", "--n", "5", "--gamma", "0.5",
+         "--replicates", "50", "--seed", "4", "--format", "json"),
+        ("estimate", "--input", str(data), "--gamma", "0.75",
+         "--format", "csv"),
+        ("compute", "--dist", "uniform", "--gamma", "1.5"),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert all(code == 0 for code, _, _ in shared)
+    # simulate's default weight x does not leak into the later verbs
+    assert json.loads(shared[0][1])["rows"][0]["weight"] == "one"
+    assert ",one," in shared[2][1] and "one" in shared[3][1]

@@ -1,10 +1,14 @@
 """Tests for the empirical estimator, exact moments, and dataset handling."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wfgcpe import empirical
 from wfgcpe.distributions import make_power
 from wfgcpe.empirical import (BLOOD_CANCER_43_LITERAL, as_sample,
                               empirical_cdf, empirical_wfgcpe,
@@ -51,8 +55,9 @@ def test_two_point_sample():
 
 def test_estimator_gamma_validation():
     s = as_sample([0.0, 1.0])
-    with pytest.raises(DomainError):
-        empirical_wfgcpe(s, weight_one(), 0.0)
+    for gamma in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            empirical_wfgcpe(s, weight_one(), gamma)
 
 
 def test_estimator_matches_step_cdf_riemann():
@@ -153,6 +158,11 @@ def test_moment_argument_validation():
         exact_moments_power_square(1, 0.5)
     with pytest.raises(DomainError):
         exact_moments_power_square(10, -1.0)
+    for moments in (exact_moments_power_square, exact_moments_weibull,
+                    exact_moments_self_weight):
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                moments(10, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +225,140 @@ def test_corrected_reading_against_population_scale():
     est = empirical_wfgcpe(s, weight_x(), 0.5)
     truth = 1.0 / (2.0 * 2.0 ** 1.5)
     assert abs(est - truth) / truth < 0.05
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        load_dataset(str(path))
+    assert str(path) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Block parser and chunked export against the per-token reference
+# ---------------------------------------------------------------------------
+
+def _reference_load(path):
+    """The per-token parser the block parser replaced."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            for token in text.replace(",", " ").split():
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: not a number: {token!r}",
+                        line=lineno) from None
+    if not values:
+        raise ParseError(f"{path}: no numeric data found")
+    return as_sample(values, source=path)
+
+
+def _reference_export(sample, path):
+    """The per-value writer the chunked export replaced."""
+    with open(path, "w") as fh:
+        for v in sample.values:
+            fh.write(f"{float(v)!r}\n")
+
+
+def _outcome(load, path):
+    try:
+        s = load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return "sample", s.values.tobytes(), s.n
+
+
+_TOKENS = st.one_of(
+    st.floats(0.0, 1e6).map(repr),
+    st.integers(0, 10 ** 6).map(str),
+    st.sampled_from(["1_000", "٣.٥", "1e3", ".5", "5."]))
+# one token that the parser or the sample check refuses
+_BAD = st.sampled_from(["bogus", "1..2", "0x10", "1e", "nan(1)", "\ufeff1",
+                        "nan", "-inf", "-1.5"])
+# form feed and U+2028 separate tokens but do not end a line
+_SEPARATORS = st.sampled_from([" ", ",", ", ", "\t", " ,", "\x0c",
+                               "\u2028"])
+
+
+@st.composite
+def _data_files(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        tokens = draw(st.lists(_TOKENS, max_size=5))
+        sep = draw(_SEPARATORS)
+        line = sep.join(tokens)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from([" # note, 1.0", "#", "# x y"]))
+        lines.append(line)
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = f"{lines[at]} {draw(_BAD)}".lstrip()
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return text.encode("utf-8"), draw(st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_data_files())
+def test_block_parser_matches_per_token_reference(tmp_path_factory, case):
+    data, block = case
+    path = tmp_path_factory.mktemp("parse") / "data.csv"
+    path.write_bytes(data)
+    want = _outcome(_reference_load, str(path))
+    for size in (block, empirical._BLOCK_BYTES):
+        with mock.patch.object(empirical, "_BLOCK_BYTES", size):
+            assert _outcome(load_dataset, str(path)) == want
+
+
+def test_block_parser_small_blocks(tmp_path, monkeypatch):
+    lines = ["1.0, 2.0", "3.0  # a comment, 4.0 and more text", "",
+             "5.0,6.0,7.0", "# whole-line comment", "8.0 9.0", "oops 10.0",
+             "11.0"]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "blocks.csv"
+    path.write_text(text)
+    monkeypatch.setattr(empirical, "_BLOCK_BYTES", 40)
+    # the first read of 40 characters ends inside the comment on line 2
+    start = text.index("#")
+    assert start < 40 < text.index("\n", start)
+    blocks = []
+    parse = empirical._parse_block
+
+    def recording(block, lineno, source):
+        blocks.append(lineno)
+        return parse(block, lineno, source)
+
+    monkeypatch.setattr(empirical, "_parse_block", recording)
+    with pytest.raises(ParseError) as err:
+        load_dataset(str(path))
+    assert err.value.line == 7
+    assert str(err.value) == f"{path}:7: not a number: 'oops'"
+    assert len(blocks) == 3  # the bad token sits in the third block
+    path.write_text(text.replace("oops ", ""))
+    blocks.clear()
+    assert list(load_dataset(str(path)).values) == [
+        1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
+    # one line longer than a block
+    path.write_text(", ".join(map(str, range(100))))
+    assert list(load_dataset(str(path)).values) == list(range(100))
+
+
+def test_export_chunks_match_per_value_writer(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    raw = np.concatenate([rng.exponential(3.0, 40),
+                          [0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 7.0]])
+    s = as_sample(raw)
+    want = tmp_path / "reference.txt"
+    _reference_export(s, str(want))
+    for chunk in (7, s.n, empirical._EXPORT_CHUNK):
+        monkeypatch.setattr(empirical, "_EXPORT_CHUNK", chunk)
+        got = tmp_path / f"chunk{chunk}.txt"
+        export_dataset(s, str(got))
+        assert got.read_bytes() == want.read_bytes()
+        assert np.array_equal(load_dataset(str(got)).values, s.values)
