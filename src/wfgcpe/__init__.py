@@ -37,7 +37,7 @@ from .measures import (MeasureReport, affine_wfgcpe, discrete_wfe,
                        rl_fractional_integral, tau, weighted_cpe, wfgcpe,
                        wfgcpe_gamma_zero_limit, wfgcpe_via_fractional_bridge,
                        wfgcre)
-from .quadrature import (Integrand, QuadratureResult, integrate, log_gamma)
+from .quadrature import Integrand, QuadratureResult, integrate
 from .weights import (WeightFunction, custom_weight, piecewise_linear_weight,
                       power_weight, self_density_weight, weight_exp_neg,
                       weight_one, weight_sqrt_x, weight_x, weight_x_squared)

@@ -22,7 +22,8 @@ from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel, prh_transform
 from .errors import DomainError, PreconditionUnmet, WfgcpeError
-from .measures import _check_gamma, tau, weighted_cpe, wfgcpe
+from .measures import (_check_gamma, _log_kernel_integral, tau,
+                       weighted_cpe, wfgcpe)
 from .quadrature import Integrand, integrate
 from .weights import WeightFunction, _elementwise, power_weight
 
@@ -191,27 +192,17 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
     mu1, mu2 = m1.mean(), m2.mean()
     if abs(mu1 - mu2) <= 1e-9:
         raise PreconditionUnmet(f"means are equal ({mu1})")
-    g = _gamma(gamma + 1.0)
     lo, hi = _finite_probe_interval(m1, m2)
 
-    def neg_log_k1_pow(x):
-        nl = m1.neg_log_cdf(x)
-        if nl <= 0.0 or math.isinf(nl):
-            return 0.0
-        return nl ** gamma
-
     # E[tau1(X2)] collapses by Fubini to a single integral against K2.
-    def f_tau(x):
-        return psi(x) * neg_log_k1_pow(x) * m2.cdf(x)
-
-    e_tau_x2 = integrate(Integrand(f_tau, lo, hi)).value / g
+    e_tau_x2 = _log_kernel_integral(m1.neg_log_cdf,
+                                    lambda x: psi(x) * m2.cdf(x),
+                                    gamma, lo, hi, damped=False)[0]
 
     # E[tau1'(V)] with k_V = (K1 - K2) / (E X2 - E X1); tau1' <= 0.
-    def f_corr(x):
-        return psi(x) * neg_log_k1_pow(x) * (m1.cdf(x) - m2.cdf(x))
-
-    e_tau_prime_v = -integrate(Integrand(f_corr, lo, hi)).value \
-        / (g * (mu2 - mu1))
+    e_tau_prime_v = -_log_kernel_integral(
+        m1.neg_log_cdf, lambda x: psi(x) * (m1.cdf(x) - m2.cdf(x)),
+        gamma, lo, hi, damped=False)[0] / (mu2 - mu1)
 
     lhs = wfgcpe(m1, psi, gamma).value
     rhs = e_tau_x2 + e_tau_prime_v * (mu1 - mu2)
@@ -252,8 +243,7 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
             return 0.0
         return psi(x) * math.exp(-nl) * (-math.expm1(-nl)) ** gamma
 
-    rhs_a = integrate(Integrand(f_a, lo, hi,
-                                singularity_hints=model.tail_hint)).value / g1
+    rhs_a = integrate(Integrand(f_a, lo, hi)).value / g1
     reports.append(CheckReport("one_minus_cdf_lower_bound", cpe, rhs_a,
                                cpe >= rhs_a - 1e-9, cpe - rhs_a))
 

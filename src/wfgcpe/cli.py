@@ -100,7 +100,7 @@ def _json_default(obj):
 
 def _full(v):
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return v
 
 
@@ -397,19 +397,6 @@ def _derive_seed() -> int:
     return int.from_bytes(os.urandom(8), "big") >> 1
 
 
-def _check_threads_env():
-    raw = os.environ.get("WFGCPE_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"WFGCPE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise DomainError("WFGCPE_THREADS must be >= 1")
-    # evaluation is single-threaded; the cap never affects results
-
-
 _COMMANDS = {
     "compute": _cmd_compute,
     "estimate": _cmd_estimate,
@@ -428,7 +415,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_threads_env()
         doc = _COMMANDS[args.verb](args)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

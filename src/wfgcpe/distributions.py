@@ -19,6 +19,7 @@ from .quadrature import Integrand, integrate
 from .weights import WeightFunction
 
 _PROBE_POINTS = 1024
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class DistributionModel:
     family: str = "custom"
     params: dict = field(default_factory=dict)
     closed_wfgcpe: Optional[Callable[[str, float], float]] = None
-    tail_hint: tuple[str, ...] = ()
     log_cdf: Optional[Callable[[float], float]] = None
     log_survival: Optional[Callable[[float], float]] = None
 
@@ -81,14 +81,21 @@ class DistributionModel:
             raise DomainError(f"reversed hazard undefined where K(x)=0 (x={x})")
         return self.pdf(x) / k
 
-    def expectation(self, g: Callable[[float], float],
-                    abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> float:
+    def expectation(self, g: Callable[[float], float]) -> float:
         """E[g(X)] through the quantile transform on (0, 1)."""
-        f = Integrand(lambda u: g(self.quantile(u)), 0.0, 1.0)
-        return integrate(f, abs_tol=abs_tol, rel_tol=rel_tol).value
+        return integrate(Integrand(lambda u: g(self.quantile(u)), 0.0,
+                                   1.0)).value
 
     def mean(self) -> float:
         return self.expectation(lambda x: x)
+
+
+def _log1m_exp(t: float) -> float:
+    """``ln(1 - e^{-t})``: ``expm1`` below ``ln 2``, where ``1 - e^{-t}``
+    cancels, and ``log1p`` above, where ``1 - e^{-t}`` rounds to 1."""
+    if t >= _LN2:
+        return math.log1p(-math.exp(-t))
+    return math.log(-math.expm1(-t)) if t > 0.0 else -math.inf
 
 
 def _check_positive(**kwargs):
@@ -126,7 +133,6 @@ def make_power(b: float, c: float) -> DistributionModel:
         support=(0.0, b),
         family="power", params={"b": b, "c": c},
         closed_wfgcpe=closed,
-        tail_hint=("log_at_lo",),
         log_cdf=lambda x: (c * (math.log(x) - math.log(b)) if 0.0 < x < b
                            else (0.0 if x >= b else -math.inf)),
     )
@@ -160,7 +166,6 @@ def make_uniform_shifted(a: float) -> DistributionModel:
         support=(a, a + 1.0),
         family="uniform_shifted", params={"a": a},
         closed_wfgcpe=closed,
-        tail_hint=("log_at_lo",),
         log_cdf=lambda x: (math.log(x - a) if a < x < a + 1.0
                            else (0.0 if x >= a + 1.0 else -math.inf)),
     )
@@ -206,7 +211,6 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         support=(0.0, math.inf),
         family="frechet", params={"b": b, "c": c},
         closed_wfgcpe=closed,
-        tail_hint=("decay_at_infinity",),
         log_cdf=lambda x: -b * x ** -c if x > 0 else -math.inf,
     )
 
@@ -234,7 +238,7 @@ def make_weibull_square(theta: float) -> DistributionModel:
         quantile=quantile,
         support=(0.0, math.inf),
         family="weibull_square", params={"theta": theta},
-        tail_hint=("decay_at_infinity",),
+        log_cdf=lambda x: _log1m_exp(theta * x * x) if x > 0 else -math.inf,
         log_survival=lambda x: -theta * x * x if x > 0 else 0.0,
     )
 
@@ -261,7 +265,7 @@ def make_exponential(rate: float) -> DistributionModel:
         quantile=quantile,
         support=(0.0, math.inf),
         family="exponential", params={"rate": rate},
-        tail_hint=("decay_at_infinity",),
+        log_cdf=lambda x: _log1m_exp(rate * x) if x > 0 else -math.inf,
         log_survival=lambda x: -rate * x if x > 0 else 0.0,
     )
 
@@ -278,9 +282,7 @@ def make_custom(cdf, pdf, quantile, support, family="custom", params=None,
         raise DomainError(f"invalid support {support}")
     model = DistributionModel(cdf=cdf, pdf=pdf, quantile=quantile,
                               support=(float(lo), float(hi)),
-                              family=family, params=params or {},
-                              tail_hint=("decay_at_infinity",)
-                              if math.isinf(hi) else ("log_at_lo",))
+                              family=family, params=params or {})
     if validate:
         _validate_model(model)
     return model
@@ -298,9 +300,7 @@ def _validate_model(model: DistributionModel):
             lam = model.pdf(x) / k
             if abs(lam * k - model.pdf(x)) > 1e-9:
                 raise ValidationError(f"reversed hazard inconsistent at x={x}")
-    total = integrate(Integrand(model.pdf, *model.support,
-                                singularity_hints=model.tail_hint),
-                      abs_tol=1e-10, rel_tol=1e-9).value
+    total = integrate(Integrand(model.pdf, *model.support)).value
     if abs(total - 1.0) > 1e-8:
         raise ValidationError(f"density integrates to {total}, not 1")
 
@@ -353,7 +353,6 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
         quantile=lambda u: base.quantile(u ** (1.0 / e)),
         support=base.support,
         family="prh", params={"eta": e, "base": base.family, **base.params},
-        tail_hint=base.tail_hint,
         log_cdf=lambda x: -e * base.neg_log_cdf(x),
     )
 

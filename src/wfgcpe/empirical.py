@@ -82,7 +82,9 @@ class SpacingSummary:
 
 def spacing_summary(sample: EmpiricalSample,
                     psi: WeightFunction) -> SpacingSummary:
-    big = _elementwise(psi.big_psi, sample.values)
+    """Spacings of the order statistics: an unordered sample is sorted."""
+    v = sample.values if sample.ordered else np.sort(sample.values)
+    big = _elementwise(psi.big_psi, v)
     return SpacingSummary(np.diff(big), psi.tag)
 
 
@@ -119,24 +121,16 @@ def exact_moments_power_square(n: int, gamma: float,
     """Mean and variance of the estimator for the population
     ``K(x) = x^2`` on (0, 1) with weight ``psi = x``.
 
-    The transformed spacings are marginally Beta(1, n), giving closed
-    sums. By default the variance sums the marginal variances, treating
-    the spacings as independent; they are in fact jointly Dirichlet with
-    pairwise covariance ``-1 / ((1+n)^2 (2+n))``, so the default
-    overstates the true sampling variance. Pass
-    ``spacing_covariance=True`` for the covariance-corrected value
-    (use this when standardizing the estimator).
+    There ``Psi(X) = X^2 / 2 = K(X) / 2``, so the spacings are half those
+    of :func:`exact_moments_self_weight`, and its moments divided by 2 and
+    4 (exactly, in binary floating point) are these. As there, the default
+    variance treats the jointly Dirichlet spacings as independent and so
+    overstates the true sampling variance; pass ``spacing_covariance=True``
+    for the covariance-corrected value (use this when standardizing the
+    estimator).
     """
-    _check_moment_args(n, gamma)
-    coeff = _estimator_coefficients(n, gamma)
-    g = _gamma(gamma + 1.0)
-    mean = coeff.sum() / (2.0 * (1 + n)) / g
-    if spacing_covariance:
-        quad = (1 + n) * (coeff ** 2).sum() - coeff.sum() ** 2
-    else:
-        quad = n * (coeff ** 2).sum()
-    var = quad / (4.0 * (1 + n) ** 2 * (2 + n)) / g ** 2
-    return float(mean), float(var)
+    mean, var = exact_moments_self_weight(n, gamma, spacing_covariance)
+    return mean / 2.0, var / 4.0
 
 
 def exact_moments_weibull(n: int, gamma: float,
@@ -165,9 +159,9 @@ def exact_moments_self_weight(n: int, gamma: float,
     ``psi = k``; the spacings are marginally Beta(1, n) for any absolutely
     continuous population, so the result is population-free.
 
-    As in :func:`exact_moments_power_square`, the default variance
-    ignores the negative Dirichlet covariance between spacings;
-    ``spacing_covariance=True`` gives the true sampling variance.
+    By default the variance sums the marginal variances, ignoring the
+    pairwise covariance ``-1 / ((1+n)^2 (2+n))`` of the jointly Dirichlet
+    spacings; ``spacing_covariance=True`` gives the true sampling variance.
     """
     _check_moment_args(n, gamma)
     coeff = _estimator_coefficients(n, gamma)

@@ -20,8 +20,9 @@ from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel
 from .errors import (DegenerateNormalizer, DomainError, MonotonicityError,
-                     UnboundedSupport)
-from .quadrature import Integrand, QuadratureResult, integrate
+                     NonConvergence, UnboundedSupport)
+from .quadrature import (DEFAULT_ABS_TOL, Integrand, QuadratureResult,
+                         integrate)
 from .weights import WeightFunction
 
 CLOSED_FORM = "closed_form"
@@ -40,20 +41,32 @@ def _check_gamma(gamma: float):
         raise DomainError(f"require finite gamma > 0, got {gamma}")
 
 
-def _cpe_integrand(model: DistributionModel, psi, gamma: float):
-    """psi(x) K(x) (-ln K)^gamma with the 0 * ln 0 = 0 convention.
+def _log_kernel_integral(neg_log, weight, gamma: float, lo: float,
+                         hi: float, damped: bool = True,
+                         ) -> tuple[float, QuadratureResult]:
+    """``(1/Gamma(gamma+1)) int_lo^hi weight(x) e^{-nl} nl^gamma dx``, and
+    the quadrature result behind it; ``damped=False`` drops ``e^{-nl}``.
 
-    Built on the model's exact ``-ln K`` so that tails where ``K`` rounds
-    to 1 in floating point still contribute their true mass.
+    ``nl = neg_log(x)`` is an exact ``-ln`` of a CDF or survival function,
+    so tails where that function rounds to 1 keep their mass; ``0 ln 0 = 0``
+    where ``nl`` is 0 or infinite. The integrand is nonnegative, so a value
+    below ``-DEFAULT_ABS_TOL`` means a divergent integral whose error
+    estimate passed: ``NonConvergence``.
     """
 
     def f(x):
-        nl = model.neg_log_cdf(x)
+        nl = neg_log(x)
         if nl <= 0.0 or math.isinf(nl):
             return 0.0
-        return psi(x) * math.exp(-nl) * nl ** gamma
+        w = weight(x) * math.exp(-nl) if damped else weight(x)
+        return w * nl ** gamma
 
-    return f
+    q = integrate(Integrand(f, lo, hi))
+    if q.value < -DEFAULT_ABS_TOL:
+        raise NonConvergence(
+            f"integral of a nonnegative integrand came out {q.value!r}: "
+            f"it diverges", value=q.value, abs_error=q.abs_error_estimate)
+    return float(q.value / _gamma(gamma + 1.0)), q
 
 
 def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
@@ -70,7 +83,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
 
     if method != QUADRATURE and model.closed_wfgcpe is not None:
         try:
-            return MeasureReport(model.closed_wfgcpe(psi.tag, gamma),
+            return MeasureReport(float(model.closed_wfgcpe(psi.tag, gamma)),
                                  CLOSED_FORM)
         except KeyError:
             if method == CLOSED_FORM:
@@ -80,11 +93,9 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
     elif method == CLOSED_FORM:
         raise DomainError(f"family {model.family!r} has no closed forms")
 
-    lo, hi = model.support
-    f = Integrand(_cpe_integrand(model, psi, gamma), lo, hi,
-                  singularity_hints=model.tail_hint)
-    q = integrate(f)
-    return MeasureReport(q.value / _gamma(gamma + 1.0), QUADRATURE, q)
+    value, q = _log_kernel_integral(model.neg_log_cdf, psi, gamma,
+                                    *model.support)
+    return MeasureReport(value, QUADRATURE, q)
 
 
 def weighted_cpe(model: DistributionModel, psi: WeightFunction) -> float:
@@ -129,15 +140,9 @@ def dynamic_wfgcpe(model: DistributionModel, psi: WeightFunction,
     if math.isinf(nlt):
         raise DomainError(f"K(t)=0 at t={t}")
 
-    def f(x):
-        # -ln(K(x)/K(t)) from the exact log-CDF difference
-        nlr = model.neg_log_cdf(x) - nlt
-        if nlr <= 0.0 or math.isinf(nlr):
-            return 0.0
-        return psi(x) * math.exp(-nlr) * nlr ** gamma
-
-    q = integrate(Integrand(f, lo, t))
-    return q.value / _gamma(gamma + 1.0)
+    # -ln(K(x)/K(t)) from the exact log-CDF difference
+    return _log_kernel_integral(lambda x: model.neg_log_cdf(x) - nlt, psi,
+                                gamma, lo, t)[0]
 
 
 def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
@@ -150,32 +155,16 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
     lo, hi = model.support
     if u >= hi:
         return 0.0
-    a = max(u, lo)
-
-    def f(x):
-        nl = model.neg_log_cdf(x)
-        if nl <= 0.0 or math.isinf(nl):
-            return 0.0
-        return psi(x) * nl ** gamma
-
-    q = integrate(Integrand(f, a, hi, singularity_hints=model.tail_hint))
-    return q.value / _gamma(gamma + 1.0)
+    return _log_kernel_integral(model.neg_log_cdf, psi, gamma, max(u, lo),
+                                hi, damped=False)[0]
 
 
 def wfgcre(model: DistributionModel, psi: WeightFunction,
            gamma: float) -> float:
     """Residual counterpart: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
     _check_gamma(gamma)
-    lo, hi = model.support
-
-    def f(x):
-        nls = model.neg_log_survival(x)
-        if nls <= 0.0 or math.isinf(nls):
-            return 0.0
-        return psi(x) * math.exp(-nls) * nls ** gamma
-
-    q = integrate(Integrand(f, lo, hi, singularity_hints=model.tail_hint))
-    return q.value / _gamma(gamma + 1.0)
+    return _log_kernel_integral(model.neg_log_survival, psi, gamma,
+                                *model.support)[0]
 
 
 def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
@@ -188,16 +177,9 @@ def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
     _check_gamma(gamma)
     if a <= 0 or b < 0:
         raise DomainError(f"require a > 0 and b >= 0, got a={a}, b={b}")
-    lo, hi = model.support
-
-    def f(x):
-        nl = model.neg_log_cdf(x)
-        if nl <= 0.0 or math.isinf(nl):
-            return 0.0
-        return psi(a * x + b) * math.exp(-nl) * nl ** gamma
-
-    q = integrate(Integrand(f, lo, hi, singularity_hints=model.tail_hint))
-    return a * q.value / _gamma(gamma + 1.0)
+    return a * _log_kernel_integral(model.neg_log_cdf,
+                                    lambda x: psi(a * x + b), gamma,
+                                    *model.support)[0]
 
 
 def rl_fractional_integral(f: Callable[[float], float],

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 import scipy.integrate
-import scipy.special
 
 from .errors import DomainError, NonConvergence
 
@@ -31,16 +29,10 @@ DEFAULT_REL_TOL = 1e-9
 #: Subdivision budget before the engine gives up with ``NonConvergence``.
 MAX_SUBDIVISIONS = 2 ** 16
 
-#: Recognized endpoint tags for ``Integrand.singularity_hints``.
-SINGULARITY_TAGS = frozenset({"log_at_lo", "log_at_hi", "decay_at_infinity"})
-
-#: Declared transforms mapping a right-infinite domain onto (0, 1).
-TAIL_TRANSFORMS = ("inverse", "exp")
-
 
 @dataclass(frozen=True)
 class Integrand:
-    """A scalar function on an open interval, with endpoint metadata.
+    """A scalar function on an open interval.
 
     ``eval`` must be finite on the open interior; the endpoints themselves
     are never evaluated by the engine's transforms. ``hi`` may be ``inf``.
@@ -49,16 +41,12 @@ class Integrand:
     eval: Callable[[float], float]
     lo: float
     hi: float
-    singularity_hints: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DomainError(f"require lo < hi, got ({self.lo}, {self.hi})")
         if self.lo < 0:
             raise DomainError(f"require lo >= 0, got {self.lo}")
-        unknown = set(self.singularity_hints) - SINGULARITY_TAGS
-        if unknown:
-            raise DomainError(f"unknown singularity hints: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     subdivisions: int
-    converged: bool
 
 
 def _guarded(f):
@@ -102,7 +89,9 @@ def integrate(
     * ``"exp"``: ``x = lo - ln(1 - t)``.
 
     Raises ``NonConvergence`` if the subdivision budget is exhausted with
-    the error estimate above ``max(abs_tol, rel_tol * |value|)``.
+    the error estimate above ``max(abs_tol, rel_tol * |value|)``, or if
+    the estimate is negative or not finite: QUADPACK's estimate is a
+    heuristic, and a negative one has been seen on divergent integrals.
     """
     if abs_tol <= 0 or rel_tol <= 0:
         raise DomainError("tolerances must be positive")
@@ -138,25 +127,12 @@ def integrate(
     subdivisions = int(info.get("last", 0))
 
     tol = max(abs_tol, rel_tol * abs(value))
-    converged = math.isfinite(value) and abs_err <= tol
-    if not converged:
+    if not (math.isfinite(value) and 0.0 <= abs_err <= tol):
         raise NonConvergence(
             f"quadrature did not converge: value={value!r}, "
-            f"error={abs_err!r} > tol={tol!r} after {subdivisions} subdivisions",
+            f"error={abs_err!r} not in [0, {tol!r}] "
+            f"after {subdivisions} subdivisions",
             value=value, abs_error=abs_err,
         )
-    return QuadratureResult(value, abs_err, subdivisions, True)
+    return QuadratureResult(value, abs_err, subdivisions)
 
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``."""
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return float(scipy.special.gammaln(x))
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for ``x > 0`` (convenience over ``log_gamma``)."""
-    if x <= 0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return float(scipy.special.gamma(x))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma as gamma_fn
 
 from wfgcpe import empirical
 from wfgcpe.distributions import make_power
@@ -17,7 +18,6 @@ from wfgcpe.empirical import (BLOOD_CANCER_43_LITERAL, as_sample,
                               exact_moments_weibull, export_dataset,
                               load_dataset, spacing_summary)
 from wfgcpe.errors import DomainError, ParseError, ValidationError
-from wfgcpe.quadrature import gamma_fn
 from wfgcpe.weights import (custom_weight, piecewise_linear_weight,
                             weight_exp_neg, weight_one, weight_sqrt_x,
                             weight_x)
@@ -94,6 +94,28 @@ def test_ties_give_zero_spacings():
     z = spacing_summary(s, weight_x()).spacings
     assert z[1] == 0.0
     assert np.isfinite(empirical_wfgcpe(s, weight_x(), 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1e4), min_size=2, max_size=60),
+       st.randoms(use_true_random=False),
+       st.sampled_from([0.25, 0.5, 1.0, 2.75]))
+def test_estimate_does_not_depend_on_sample_order(values, rnd, gamma):
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    unordered = as_sample(shuffled, sort=False)
+    for weight in (weight_x(), weight_sqrt_x()):
+        assert (empirical_wfgcpe(unordered, weight, gamma)
+                == empirical_wfgcpe(as_sample(values), weight, gamma))
+
+
+def test_literal_reading_is_estimated_on_its_order_statistics():
+    lit = load_dataset("blood_cancer_43", reading="literal")
+    for g in (0.25, 0.5, 2.75):
+        for weight in (weight_sqrt_x(), weight_x()):
+            got = empirical_wfgcpe(lit, weight, g)
+            assert got > 0
+            assert got == empirical_wfgcpe(as_sample(lit.values), weight, g)
 
 
 @pytest.mark.parametrize("weight", [

@@ -1,27 +1,26 @@
-"""Tests for the adaptive quadrature engine and gamma helpers."""
+"""Tests for the adaptive quadrature engine."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 from wfgcpe.errors import DomainError, NonConvergence
 from wfgcpe.quadrature import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
-                               gamma_fn, integrate, log_gamma)
+                               integrate)
 
 GAMMAS = (0.25, 0.5, 1.0, 1.5, 2.75)
 
 
 def test_constant_integrand():
     r = integrate(Integrand(lambda x: 1.0, 0.0, 1.0))
-    assert r.converged
     assert abs(r.value - 1.0) < 1e-12
 
 
 def test_log_singularity_moment():
     # int_0^1 u (-ln u)^0.5 du = Gamma(1.5) / 2^1.5
-    r = integrate(Integrand(lambda u: u * (-math.log(u)) ** 0.5, 0.0, 1.0,
-                            singularity_hints=("log_at_lo", "log_at_hi")))
+    r = integrate(Integrand(lambda u: u * (-math.log(u)) ** 0.5, 0.0, 1.0))
     assert abs(r.value - 0.313328534328875062) < 1e-10
 
 
@@ -35,14 +34,12 @@ def test_known_moment_battery(m, g):
 
 
 def test_exponential_tail():
-    f = Integrand(lambda x: math.exp(-x), 0.0, math.inf,
-                  singularity_hints=("decay_at_infinity",))
+    f = Integrand(lambda x: math.exp(-x), 0.0, math.inf)
     assert abs(integrate(f).value - 1.0) < 1e-9
 
 
 def test_tail_transforms_agree():
-    f = Integrand(lambda x: x * math.exp(-x), 0.0, math.inf,
-                  singularity_hints=("decay_at_infinity",))
+    f = Integrand(lambda x: x * math.exp(-x), 0.0, math.inf)
     v1 = integrate(f, tail_transform="inverse").value
     v2 = integrate(f, tail_transform="exp").value
     tol = 10.0 * max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
@@ -83,13 +80,23 @@ def test_divergent_integral_raises():
     assert err.value.abs_error is None or err.value.abs_error > 0
 
 
+@pytest.mark.parametrize("abs_err", [-1.47e-5, math.nan, math.inf])
+def test_negative_or_nonfinite_error_estimate_raises(monkeypatch, abs_err):
+    # QUADPACK's estimate is a heuristic; a divergent Frechet integral
+    # returned -1.47e-5, which passed a one-sided ``abs_err <= tol``
+    monkeypatch.setattr("scipy.integrate.quad",
+                        lambda *a, **k: (-0.386, abs_err, {"last": 24}))
+    with pytest.raises(NonConvergence) as err:
+        integrate(Integrand(lambda x: x, 0.0, 1.0))
+    assert err.value.value == -0.386
+    assert "after 24 subdivisions" in str(err.value)
+
+
 def test_integrand_validation():
     with pytest.raises(DomainError):
         Integrand(lambda x: x, 1.0, 1.0)
     with pytest.raises(DomainError):
         Integrand(lambda x: x, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        Integrand(lambda x: x, 0.0, 1.0, singularity_hints=("weird_tag",))
 
 
 def test_bad_tolerances_and_transform():
@@ -100,32 +107,3 @@ def test_bad_tolerances_and_transform():
         integrate(Integrand(lambda x: math.exp(-x), 0.0, math.inf),
                   tail_transform="nope")
 
-
-# Reference values frozen from a 30-digit arbitrary-precision evaluation.
-LOG_GAMMA_ORACLE = {
-    0.1: 2.25271265173420596,
-    0.5: 0.572364942924700087,
-    1.0: 0.0,
-    1.25: -0.0982718364218131615,
-    2.0: 0.0,
-    3.7: 1.42807232666538792,
-    12.0: 17.5023078458738858,
-    50.0: 144.565743946344886,
-}
-
-
-@pytest.mark.parametrize("x,expected", sorted(LOG_GAMMA_ORACLE.items()))
-def test_log_gamma_oracle(x, expected):
-    got = log_gamma(x)
-    if expected == 0.0:
-        assert abs(got) < 1e-13
-    else:
-        assert abs(got - expected) / abs(expected) <= 1e-12
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-        with pytest.raises(DomainError):
-            gamma_fn(bad)
