@@ -13,7 +13,7 @@ operations over chunks of 2^18 draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,11 +21,12 @@ import scipy.stats
 from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel, prh_transform
+from .empirical import (_check_moment_args, _estimator_coefficients,
+                        _exact_moments)
 from .errors import DomainError, PreconditionUnmet, WfgcpeError
-from .measures import (_check_gamma, _log_kernel_integral, tau,
-                       weighted_cpe, wfgcpe)
+from .measures import _log_kernel_integral, tau, weighted_cpe, wfgcpe
 from .quadrature import Integrand, integrate
-from .weights import WeightFunction, _elementwise, power_weight
+from .weights import WeightFunction, _elementwise, power_weight, weight_one
 
 HOLDS = "holds_on_grid"
 VIOLATED = "violated"
@@ -68,11 +69,33 @@ class CheckReport:
     note: str = ""
 
 
+def _verdict(name: str, lhs: float, rhs: float, upper: bool,
+             tol: float = 1e-9) -> CheckReport:
+    """The check ``lhs <= rhs`` (an upper bound) or ``lhs >= rhs`` to
+    within ``tol``, named with any ``{}`` in ``name`` filled by ``upper``
+    or ``lower``; the slack is positive when the check holds."""
+    slack = rhs - lhs if upper else lhs - rhs
+    holds = lhs <= rhs + tol if upper else lhs >= rhs - tol
+    return CheckReport(name.format("upper" if upper else "lower"), lhs, rhs,
+                       holds, slack)
+
+
+def _inapplicable(name: str, lhs: float, why) -> CheckReport:
+    """A bound whose hypotheses fail: reported, and not a failure."""
+    return CheckReport(name, lhs, math.nan, True, math.nan,
+                       note=f"inapplicable: {why}")
+
+
 def _finite_probe_interval(*models):
     lo = min(m.support[0] for m in models)
     hi = max(m.quantile(1.0 - 1e-10) if math.isinf(m.support[1])
              else m.support[1] for m in models)
     return lo, hi
+
+
+def _probe_grid(models, grid: int) -> np.ndarray:
+    """``grid`` interior points of the models' finite probe interval."""
+    return np.linspace(*_finite_probe_interval(*models), grid + 2)[1:-1]
 
 
 def check_order(m1: DistributionModel, m2: DistributionModel,
@@ -85,25 +108,23 @@ def check_order(m1: DistributionModel, m2: DistributionModel,
     if grid < 64:
         raise DomainError(f"require grid >= 64, got {grid}")
     if relation == "st":
-        lo, hi = _finite_probe_interval(m1, m2)
-        xs = np.linspace(lo, hi, grid + 2)[1:-1]
-        for x in xs:
-            if m2.cdf(x) > m1.cdf(x) + _GRID_TOL:
-                return OrderVerdict("st", VIOLATED, grid, (float(x),))
+        xs = _probe_grid((m1, m2), grid)
+        bad = np.flatnonzero(_elementwise(m2.cdf, xs)
+                             > _elementwise(m1.cdf, xs) + _GRID_TOL)
+        if bad.size:
+            return OrderVerdict("st", VIOLATED, grid, (float(xs[bad[0]]),))
         return OrderVerdict("st", HOLDS, grid)
     if relation == "hr":
-        lo, hi = _finite_probe_interval(m1, m2)
-        xs = np.linspace(lo, hi, grid + 2)[1:-1]
-        ratios, pts = [], []
-        for x in xs:
-            s1, s2 = m1.survival(x), m2.survival(x)
-            if s1 > 1e-12 and s2 > 1e-12:
-                ratios.append(s2 / s1)
-                pts.append(float(x))
-        for i in range(1, len(ratios)):
-            if ratios[i] < ratios[i - 1] - _GRID_TOL:
-                return OrderVerdict("hr", VIOLATED, grid, (pts[i],))
-        if len(ratios) < 2:
+        # Kbar2 / Kbar1 nondecreasing where both survivals are positive
+        xs = _probe_grid((m1, m2), grid)
+        s1, s2 = (_elementwise(m.survival, xs) for m in (m1, m2))
+        keep = (s1 > 1e-12) & (s2 > 1e-12)
+        ratios, pts = s2[keep] / s1[keep], xs[keep]
+        bad = np.flatnonzero(ratios[1:] < ratios[:-1] - _GRID_TOL)
+        if bad.size:
+            return OrderVerdict("hr", VIOLATED, grid,
+                                (float(pts[bad[0] + 1]),))
+        if ratios.size < 2:
             return OrderVerdict("hr", INCONCLUSIVE, grid)
         return OrderVerdict("hr", HOLDS, grid)
     if relation == "disp":
@@ -121,10 +142,9 @@ def check_order(m1: DistributionModel, m2: DistributionModel,
                                 (float(us[i]), float(us[j])))
         return OrderVerdict("disp", HOLDS, grid)
     if relation == "dcx":
-        lo, hi = _finite_probe_interval(m1, m2)
         tests: list[Callable[[float], float]] = [
             (lambda x, lam=lam: math.exp(-lam * x)) for lam in _DCX_LAMBDAS]
-        for t in np.linspace(lo, hi, _DCX_HINGES + 2)[1:-1]:
+        for t in _probe_grid((m1, m2), _DCX_HINGES):
             tests.append(lambda x, t=t: max(t - x, 0.0))
         for idx, phi in enumerate(tests):
             e1 = m1.expectation(phi)
@@ -147,15 +167,13 @@ def dispersive_implies_wfgcpe_order(m1: DistributionModel,
         raise PreconditionUnmet("dispersive order does not hold on grid")
     lhs = wfgcpe(m1, psi, gamma).value
     rhs = wfgcpe(m2, psi, gamma).value
-    return CheckReport("disp_implies_cpe_order", lhs, rhs,
-                       lhs <= rhs + 1e-9, rhs - lhs)
+    return _verdict("disp_implies_cpe_order", lhs, rhs, upper=True)
 
 
 def is_dfr(model: DistributionModel, grid: int = 512) -> bool:
     """Decreasing failure rate, via log-convexity of the survival function
     (nonnegative second differences of ``ln Kbar`` on a probe grid)."""
-    lo, hi = _finite_probe_interval(model)
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(*_finite_probe_interval(model), grid)
     logs = np.array([-model.neg_log_survival(x) for x in xs])
     logs = logs[np.isfinite(logs)]
     if logs.size < 3:
@@ -174,8 +192,7 @@ def hr_dfr_implies_wfgcpe_order(m1: DistributionModel,
         raise PreconditionUnmet("neither model is DFR on the probe grid")
     lhs = wfgcpe(m1, psi, gamma).value
     rhs = wfgcpe(m2, psi, gamma).value
-    return CheckReport("hr_dfr_implies_cpe_order", lhs, rhs,
-                       lhs <= rhs + 1e-9, rhs - lhs)
+    return _verdict("hr_dfr_implies_cpe_order", lhs, rhs, upper=True)
 
 
 def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
@@ -209,8 +226,7 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
     identity = CheckReport("mean_value_identity", lhs, rhs,
                            abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs)),
                            abs(lhs - rhs))
-    bound = CheckReport("mean_value_lower_bound", lhs, e_tau_x2,
-                        lhs >= e_tau_x2 - 1e-9, lhs - e_tau_x2)
+    bound = _verdict("mean_value_lower_bound", lhs, e_tau_x2, upper=False)
     return identity, bound
 
 
@@ -244,8 +260,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
         return psi(x) * math.exp(-nl) * (-math.expm1(-nl)) ** gamma
 
     rhs_a = integrate(Integrand(f_a, lo, hi)).value / g1
-    reports.append(CheckReport("one_minus_cdf_lower_bound", cpe, rhs_a,
-                               cpe >= rhs_a - 1e-9, cpe - rhs_a))
+    reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
+                            upper=False))
 
     # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}
     def f_lnD(u):
@@ -259,59 +275,43 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
         ln_d = integrate(Integrand(f_lnD, 0.0, 1.0)).value
         h_x = integrate(Integrand(f_H, 0.0, 1.0)).value
         rhs_b = math.exp(ln_d + h_x) / g1
-        reports.append(CheckReport("log_sum_entropy_lower_bound", cpe, rhs_b,
-                                   cpe >= rhs_b - 1e-9, cpe - rhs_b))
+        reports.append(_verdict("log_sum_entropy_lower_bound", cpe, rhs_b,
+                                upper=False))
     except (WfgcpeError, ValueError, OverflowError,
             ZeroDivisionError) as exc:  # divergent D or H: bound vacuous
-        reports.append(CheckReport("log_sum_entropy_lower_bound", cpe,
-                                   math.nan, True, math.nan,
-                                   note=f"inapplicable: {exc}"))
+        reports.append(_inapplicable("log_sum_entropy_lower_bound", cpe, exc))
 
     # (c) Jensen on the decreasing convex tau: CPE >= tau(mean)
     if psi.monotonicity == "decreasing":
         mu = model.mean()
         rhs_c = tau(model, psi, gamma, mu)
-        reports.append(CheckReport("tau_at_mean_lower_bound", cpe, rhs_c,
-                                   cpe >= rhs_c - 1e-9, cpe - rhs_c))
+        reports.append(_verdict("tau_at_mean_lower_bound", cpe, rhs_c,
+                                upper=False))
     else:
-        reports.append(CheckReport("tau_at_mean_lower_bound", cpe, math.nan,
-                                   True, math.nan,
-                                   note="inapplicable: weight not decreasing"))
+        reports.append(_inapplicable("tau_at_mean_lower_bound", cpe,
+                                     "weight not decreasing"))
 
     # (d) comparison against psi(s) times the unweighted measure
     if finite and psi.monotonicity in ("increasing", "decreasing", "constant"):
-        from .weights import weight_one
         unweighted = wfgcpe(model, weight_one(), gamma).value
         scaled = psi(hi) * unweighted
-        if psi.monotonicity == "decreasing":
-            holds, slack = cpe >= scaled - 1e-9, cpe - scaled
-            name = "monotone_weight_lower_bound"
-        else:
-            holds, slack = cpe <= scaled + 1e-9, scaled - cpe
-            name = "monotone_weight_upper_bound"
-        reports.append(CheckReport(name, cpe, scaled, holds, slack))
+        reports.append(_verdict("monotone_weight_{}_bound", cpe, scaled,
+                                psi.monotonicity != "decreasing"))
     else:
-        reports.append(CheckReport("monotone_weight_bound", cpe, math.nan,
-                                   True, math.nan,
-                                   note="inapplicable: needs finite support "
-                                        "and monotone weight"))
+        reports.append(_inapplicable(
+            "monotone_weight_bound", cpe,
+            "needs finite support and monotone weight"))
 
     # (e) Jensen with psi = xi^gamma against the weighted CPE of xi
     if xi is not None and finite:
         psi_pow = _power_of_weight(xi, gamma)
         lhs_e = wfgcpe(model, psi_pow, gamma).value
         rhs_e = hi ** (1.0 - gamma) * weighted_cpe(model, xi) ** gamma / g1
-        if gamma >= 1.0:
-            holds, slack = lhs_e >= rhs_e - 1e-9, lhs_e - rhs_e
-            name = "jensen_power_lower_bound"
-        else:
-            holds, slack = lhs_e <= rhs_e + 1e-9, rhs_e - lhs_e
-            name = "jensen_power_upper_bound"
-        reports.append(CheckReport(name, lhs_e, rhs_e, holds, slack))
+        reports.append(_verdict("jensen_power_{}_bound", lhs_e, rhs_e,
+                                gamma < 1.0))
     elif xi is not None:
-        reports.append(CheckReport("jensen_power_bound", cpe, math.nan, True,
-                                   math.nan,
-                                   note="inapplicable: unbounded support"))
+        reports.append(_inapplicable("jensen_power_bound", cpe,
+                                     "unbounded support"))
 
     # (f) sum of independents dominates each summand
     if other is not None:
@@ -327,9 +327,7 @@ def _power_of_weight(xi: WeightFunction, gamma: float) -> WeightFunction:
 
 
 def _is_log_concave_pdf(model: DistributionModel, grid: int = 512) -> bool:
-    lo, hi = _finite_probe_interval(model)
-    xs = np.linspace(lo, hi, grid + 2)[1:-1]
-    dens = np.array([model.pdf(x) for x in xs])
+    dens = np.array([model.pdf(x) for x in _probe_grid((model,), grid)])
     mask = dens > 1e-300
     logs = np.log(dens[mask])
     if logs.size < 3:
@@ -381,8 +379,8 @@ def sum_bound_check(m1: DistributionModel, m2: DistributionModel,
     xs, cdf = convolution_cdf_grid(m1, m2)
     lhs = _grid_wfgcpe(xs, cdf, psi, gamma)
     rhs = max(wfgcpe(m1, psi, gamma).value, wfgcpe(m2, psi, gamma).value)
-    return CheckReport("independent_sum_lower_bound", lhs, rhs,
-                       lhs >= rhs - 1e-6, lhs - rhs)
+    return _verdict("independent_sum_lower_bound", lhs, rhs, upper=False,
+                    tol=1e-6)
 
 
 def prh_bound_check(base: DistributionModel, eta: float,
@@ -391,11 +389,7 @@ def prh_bound_check(base: DistributionModel, eta: float,
     transformed = prh_transform(base, eta)
     lhs = wfgcpe(transformed, psi, gamma).value
     rhs = eta ** gamma * wfgcpe(base, psi, gamma).value
-    if eta >= 1.0:
-        return CheckReport("prh_upper_bound", lhs, rhs,
-                           lhs <= rhs + 1e-9, rhs - lhs)
-    return CheckReport("prh_lower_bound", lhs, rhs,
-                       lhs >= rhs - 1e-9, lhs - rhs)
+    return _verdict("prh_{}_bound", lhs, rhs, eta >= 1.0)
 
 
 def find_st_counterexample(gammas=(0.5, 2.5), c_grid=None,
@@ -436,12 +430,10 @@ class SimulationConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise DomainError("require replicates >= 1")
-        if self.n < 2:
-            raise DomainError("require n >= 2")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(
                 f"require a nonnegative integer seed, got {self.seed!r}")
-        _check_gamma(self.gamma)
+        _check_moment_args(self.n, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -493,8 +485,7 @@ def simulate_estimator(config: SimulationConfig,
     else:
         gammas_eff, single = list(gammas), False
     n, reps = config.n, config.replicates
-    r = np.arange(1, n) / n
-    coeffs = {g: r * (-np.log(r)) ** g for g in gammas_eff}
+    coeffs = {g: _estimator_coefficients(n, g) for g in gammas_eff}
     sums = {g: np.empty(reps) for g in gammas_eff}
     rows = max(1, _CHUNK_ELEMENTS // n)
     for start in range(0, reps, rows):
@@ -527,26 +518,15 @@ def clt_diagnostic(config: SimulationConfig,
     """Standardize replicate estimates and compare to a standard normal.
 
     Moments come from the exact formulas when available (Weibull shape-2
-    population with weight ``x``; self-density weight for any population),
-    else from the Monte Carlo sample itself. The pass verdict applies the
-    asymptotic Kolmogorov-Smirnov critical value with a 1.5 safety factor,
-    asserted only for ``n >= 200``.
+    or ``K = x^2`` population with weight ``x``; self-density weight for
+    any population), else from the Monte Carlo sample itself. The pass
+    verdict applies the asymptotic Kolmogorov-Smirnov critical value with
+    a 1.5 safety factor, asserted only for ``n >= 200``.
     """
-    from .empirical import exact_moments_self_weight, exact_moments_weibull
-
-    source = "monte_carlo"
-    if exact_moments is not None:
-        source = "provided"
-    elif (config.population.family == "weibull_square"
-          and config.weight.tag == "x"):
-        exact_moments = exact_moments_weibull(
-            config.n, config.gamma, config.population.params["theta"])
-        source = "exact_weibull"
-    elif config.weight.tag == "self_density":
-        # covariance-corrected: the Beta spacings are Dirichlet-dependent
-        exact_moments = exact_moments_self_weight(config.n, config.gamma,
-                                                  spacing_covariance=True)
-        source = "exact_self_weight"
+    source = "provided"
+    if exact_moments is None:
+        exact_moments, source = _exact_moments(
+            config.population, config.weight, config.n, config.gamma)
 
     summary = simulate_estimator(config)
     if exact_moments is None:

@@ -22,9 +22,9 @@ from . import __version__
 from .analysis import SimulationConfig, bound_suite, simulate_estimator
 from .distributions import (make_exponential, make_frechet, make_power,
                             make_uniform_shifted, make_weibull_square)
-from .empirical import (empirical_wfgcpe, exact_moments_power_square,
-                        exact_moments_self_weight, exact_moments_weibull,
-                        export_dataset, load_dataset)
+from .empirical import (_exact_moments, empirical_wfgcpe,
+                        exact_moments_power_square, export_dataset,
+                        load_dataset)
 from .errors import (ConstraintError, DomainError, NonConvergence, ParseError,
                      ValidationError, WfgcpeError)
 from .measures import normalized_wfgcpe, wfgcpe
@@ -134,31 +134,15 @@ def _weight_from_args(args, model=None):
         raise DomainError(f"unknown weight {args.weight!r}") from None
 
 
-def _model_from_args(args):
-    dist = args.dist
-    if dist == "power":
-        return make_power(args.b, args.c)
-    if dist == "frechet":
-        return make_frechet(args.b, args.c)
-    if dist == "uniform":
-        return make_uniform_shifted(args.a)
-    if dist == "weibull-square":
-        return make_weibull_square(args.theta)
-    if dist == "exponential":
-        return make_exponential(args.theta)
-    raise DomainError(f"unknown distribution {dist!r}")
-
-
-def _population_from_args(args):
-    if args.pop == "power-square":
-        return make_power(1.0, 2.0)
-    if args.pop == "power":
-        return make_power(args.b, args.c)
-    if args.pop == "weibull-square":
-        return make_weibull_square(args.theta)
-    if args.pop == "uniform":
-        return make_uniform_shifted(args.a)
-    raise DomainError(f"unknown population {args.pop!r}")
+#: Model of each --dist / --pop choice; ``make_*`` is looked up per call.
+_FAMILIES = {
+    "power": lambda args: make_power(args.b, args.c),
+    "power-square": lambda args: make_power(1.0, 2.0),
+    "frechet": lambda args: make_frechet(args.b, args.c),
+    "uniform": lambda args: make_uniform_shifted(args.a),
+    "weibull-square": lambda args: make_weibull_square(args.theta),
+    "exponential": lambda args: make_exponential(args.theta),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "csv", "json"),
                        default="pretty")
 
-    def add_dist(p):
-        p.add_argument("--dist", required=True,
-                       choices=("power", "frechet", "uniform",
-                                "weibull-square", "exponential"))
+    def add_dist(p, flag="--dist",
+                 choices=("power", "frechet", "uniform", "weibull-square",
+                          "exponential")):
+        p.add_argument(flag, required=True, choices=choices)
         p.add_argument("--b", type=float, default=1.0)
         p.add_argument("--c", type=float, default=1.0)
         p.add_argument("--a", type=float, default=0.0)
@@ -207,13 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimator moments")
     add_common(p); add_weight(p)
     p.set_defaults(weight="x")
-    p.add_argument("--pop", required=True,
-                   choices=("power-square", "power", "weibull-square",
-                            "uniform"))
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=1.0)
+    add_dist(p, "--pop",
+             ("power-square", "power", "weibull-square", "uniform"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--replicates", type=int, default=10000)
@@ -233,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> ReportDocument:
-    model = _model_from_args(args)
+    model = _FAMILIES[args.dist](args)
     weight = _weight_from_args(args, model)
     doc = ReportDocument(metadata=_base_metadata())
     report = wfgcpe(model, weight, args.gamma)
@@ -266,7 +245,7 @@ def _cmd_estimate(args) -> ReportDocument:
 
 
 def _cmd_simulate(args) -> ReportDocument:
-    population = _population_from_args(args)
+    population = _FAMILIES[args.pop](args)
     weight = _weight_from_args(args, population)
     seed = args.seed if args.seed is not None else _derive_seed()
     config = SimulationConfig(args.replicates, args.n, seed, population,
@@ -275,15 +254,7 @@ def _cmd_simulate(args) -> ReportDocument:
     doc = ReportDocument(metadata=_base_metadata(seed=seed))
     # the sampling variance, with the Dirichlet covariance between spacings;
     # ``reproduce --table 4`` keeps the published independence formula
-    exact = None
-    if args.pop == "power-square" and weight.tag == "x":
-        exact = exact_moments_power_square(args.n, args.gamma,
-                                           spacing_covariance=True)
-    elif args.pop == "weibull-square" and weight.tag == "x":
-        exact = exact_moments_weibull(args.n, args.gamma, args.theta)
-    elif weight.tag == "self_density":
-        exact = exact_moments_self_weight(args.n, args.gamma,
-                                          spacing_covariance=True)
+    exact, _ = _exact_moments(population, weight, args.n, args.gamma)
     row = dict(population=args.pop, weight=weight.tag, gamma=args.gamma,
                n=args.n, replicates=args.replicates,
                mc_mean=summary.mean, mc_variance=summary.variance,
@@ -377,7 +348,7 @@ def _reproduce_table4() -> ReportDocument:
 
 
 def _cmd_bounds(args) -> ReportDocument:
-    model = _model_from_args(args)
+    model = _FAMILIES[args.dist](args)
     weight = _weight_from_args(args, model)
     doc = ReportDocument(metadata=_base_metadata())
     for check in bound_suite(model, weight, args.gamma):

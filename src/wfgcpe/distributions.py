@@ -8,13 +8,14 @@ forms are the analytic side of the closed-form-vs-quadrature cross checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import ConstraintError, DomainError, ValidationError
+from .errors import (ConstraintError, DomainError, ValidationError,
+                     require_nonnegative, require_positive)
 from .quadrature import Integrand, integrate
 from .weights import WeightFunction
 
@@ -98,15 +99,9 @@ def _log1m_exp(t: float) -> float:
     return math.log(-math.expm1(-t)) if t > 0.0 else -math.inf
 
 
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise DomainError(f"require {name} > 0, got {value}")
-
-
 def make_power(b: float, c: float) -> DistributionModel:
     """Power distribution ``K(x) = (x/b)^c`` on ``(0, b)``."""
-    _check_positive(b=b, c=c)
+    require_positive(b=b, c=c)
 
     def closed(tag, g):
         # evaluated in log space: the ratio terms underflow to 0 rather
@@ -140,8 +135,7 @@ def make_power(b: float, c: float) -> DistributionModel:
 
 def make_uniform_shifted(a: float) -> DistributionModel:
     """Uniform distribution on ``(a, a + 1)`` with ``a >= 0``."""
-    if a < 0:
-        raise DomainError(f"require a >= 0, got {a}")
+    require_nonnegative(a=a)
 
     def closed(tag, g):
         if tag == "one":
@@ -178,7 +172,7 @@ def make_frechet(b: float, c: float) -> DistributionModel:
     ``gamma > (m + 1) / c``; below that threshold the defining integral
     diverges and ``ConstraintError`` is raised.
     """
-    _check_positive(b=b, c=c)
+    require_positive(b=b, c=c)
 
     def closed(tag, g):
         m = {"one": 1.0, "x": 2.0, "x2": 3.0}.get(tag)
@@ -212,12 +206,13 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         family="frechet", params={"b": b, "c": c},
         closed_wfgcpe=closed,
         log_cdf=lambda x: -b * x ** -c if x > 0 else -math.inf,
+        log_survival=lambda x: _log1m_exp(b * x ** -c) if x > 0 else 0.0,
     )
 
 
 def make_weibull_square(theta: float) -> DistributionModel:
     """Weibull with shape 2: ``K(x) = 1 - exp(-theta x^2)`` on ``(0, inf)``."""
-    _check_positive(theta=theta)
+    require_positive(theta=theta)
 
     def cdf(x):
         try:
@@ -245,7 +240,7 @@ def make_weibull_square(theta: float) -> DistributionModel:
 
 def make_exponential(rate: float) -> DistributionModel:
     """Exponential distribution ``K(x) = 1 - exp(-rate x)`` (DFR boundary)."""
-    _check_positive(rate=rate)
+    require_positive(rate=rate)
 
     def cdf(x):
         try:
@@ -270,8 +265,8 @@ def make_exponential(rate: float) -> DistributionModel:
     )
 
 
-def make_custom(cdf, pdf, quantile, support, family="custom", params=None,
-                validate=True) -> DistributionModel:
+def make_custom(cdf, pdf, quantile, support, family="custom",
+                params=None) -> DistributionModel:
     """Wrap user-supplied functions, validating the model invariants.
 
     Validation probes ``K(Q(u)) = u`` and ``lambda(t) K(t) = k(t)`` on a
@@ -283,8 +278,7 @@ def make_custom(cdf, pdf, quantile, support, family="custom", params=None,
     model = DistributionModel(cdf=cdf, pdf=pdf, quantile=quantile,
                               support=(float(lo), float(hi)),
                               family=family, params=params or {})
-    if validate:
-        _validate_model(model)
+    _validate_model(model)
     return model
 
 
@@ -316,8 +310,7 @@ class PrhParameter:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise DomainError(f"require eta > 0, got {self.eta}")
+        require_positive(eta=self.eta)
 
 
 @dataclass(frozen=True)
@@ -330,14 +323,15 @@ class PrhExpectationTerms:
 
 
 def _as_eta(eta) -> float:
-    return eta.eta if isinstance(eta, PrhParameter) else float(eta)
+    """``eta`` as a float, refused unless finite and positive."""
+    e = eta.eta if isinstance(eta, PrhParameter) else float(eta)
+    require_positive(eta=e)
+    return e
 
 
 def prh_transform(base: DistributionModel, eta) -> DistributionModel:
     """Model with CDF ``K1^eta``, PDF ``eta K1^(eta-1) k1``, same support."""
     e = _as_eta(eta)
-    if e <= 0:
-        raise DomainError(f"require eta > 0, got {e}")
 
     def cdf(x):
         return base.cdf(x) ** e
@@ -369,8 +363,7 @@ def prh_expectation_terms(base: DistributionModel, eta,
     ``Et = (1/Gamma(g)) int_0^1 Q2(u) psi'(Q2(u)) (-ln u)^(g-1) / lambda1 du``
     """
     e = _as_eta(eta)
-    if gamma <= 0:
-        raise DomainError(f"require gamma > 0, got {gamma}")
+    require_positive(gamma=gamma)
 
     def q2(u):
         return base.quantile(u ** (1.0 / e))
@@ -430,7 +423,7 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
     ``prior`` is the order ``gamma`` value. Equals ``n`` chained
     applications of ``prh_recurrence_step``.
     """
-    if n < 1 or n != int(n):
+    if not (n >= 1 and float(n).is_integer()):
         raise DomainError(f"require integer n >= 1, got {n}")
     e = _as_eta(eta)
     tn = prh_expectation_terms(base, e, psi, gamma + n)

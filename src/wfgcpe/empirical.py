@@ -10,7 +10,6 @@ the antiderivative-transformed order statistics:
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -18,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import DomainError, ParseError, ValidationError
-from .measures import _check_gamma
+from .errors import DomainError, ParseError, ValidationError, require_positive
 from .weights import WeightFunction, _elementwise
 
 #: Ordered lifetimes (in days) of 43 blood cancer patients from one of the
@@ -57,8 +55,8 @@ class EmpiricalSample:
         self.values.setflags(write=False)
 
 
-def as_sample(values, source="memory", sort=True) -> EmpiricalSample:
-    """Build a sample, sorting ascending unless ``sort=False``."""
+def as_sample(values, source="memory") -> EmpiricalSample:
+    """Build a sample, sorted ascending."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
         raise ValidationError(f"need at least 2 observations, got {v.size}")
@@ -66,10 +64,7 @@ def as_sample(values, source="memory", sort=True) -> EmpiricalSample:
         raise ValidationError("sample contains non-finite values")
     if np.any(v < 0):
         raise ValidationError("sample contains negative values")
-    if sort:
-        v = np.sort(v)
-    ordered = bool(np.all(np.diff(v) >= 0))
-    return EmpiricalSample(v.copy(), int(v.size), source, ordered)
+    return EmpiricalSample(np.sort(v), int(v.size), source, True)
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ def _estimator_coefficients(n: int, gamma: float) -> np.ndarray:
 def empirical_wfgcpe(sample: EmpiricalSample, psi: WeightFunction,
                      gamma: float) -> float:
     """Plug-in estimator of the weighted fractional cumulative past entropy."""
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     z = spacing_summary(sample, psi).spacings
     coeff = _estimator_coefficients(sample.n, gamma)
     return float(z @ coeff) / _gamma(gamma + 1.0)
@@ -142,8 +137,7 @@ def exact_moments_weibull(n: int, gamma: float,
     mean ``1 / (theta (n - l))``.
     """
     _check_moment_args(n, gamma)
-    if theta <= 0:
-        raise DomainError(f"require theta > 0, got {theta}")
+    require_positive(theta=theta)
     l = np.arange(1, n)
     coeff = _estimator_coefficients(n, gamma)
     g = _gamma(gamma + 1.0)
@@ -176,9 +170,27 @@ def exact_moments_self_weight(n: int, gamma: float,
 
 
 def _check_moment_args(n, gamma):
-    if n < 2 or n != int(n):
+    if not (n >= 2 and float(n).is_integer()):
         raise DomainError(f"require integer n >= 2, got {n}")
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
+
+
+def _exact_moments(population, weight: WeightFunction, n: int,
+                   gamma: float) -> tuple[tuple[float, float] | None, str]:
+    """Exact, covariance-corrected moments of the estimator where the
+    population and weight admit them, and their source; else
+    ``(None, "monte_carlo")``."""
+    if weight.tag == "self_density":
+        return (exact_moments_self_weight(n, gamma, spacing_covariance=True),
+                "exact_self_weight")
+    if weight.tag == "x" and population.family == "weibull_square":
+        theta = population.params["theta"]
+        return exact_moments_weibull(n, gamma, theta), "exact_weibull"
+    if weight.tag == "x" and (population.family, population.params) == (
+            "power", {"b": 1.0, "c": 2.0}):
+        return (exact_moments_power_square(n, gamma, spacing_covariance=True),
+                "exact_power_square")
+    return None, "monte_carlo"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy shared across the package, and the
+finite-parameter checks every entry point applies."""
+
+import math
 
 
 class WfgcpeError(Exception):
@@ -52,3 +55,17 @@ class ValidationError(WfgcpeError):
 
 class WeightAntiderivativeUnavailable(WfgcpeError):
     """No antiderivative is available or constructible for the weight."""
+
+
+def require_positive(**named):
+    """Raise ``DomainError`` unless every named value is finite and > 0."""
+    for name, value in named.items():
+        if not 0 < value < math.inf:
+            raise DomainError(f"require finite {name} > 0, got {value}")
+
+
+def require_nonnegative(**named):
+    """Raise ``DomainError`` unless every named value is finite and >= 0."""
+    for name, value in named.items():
+        if not 0 <= value < math.inf:
+            raise DomainError(f"require finite {name} >= 0, got {value}")

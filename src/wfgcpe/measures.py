@@ -20,7 +20,8 @@ from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel
 from .errors import (DegenerateNormalizer, DomainError, MonotonicityError,
-                     NonConvergence, UnboundedSupport)
+                     NonConvergence, UnboundedSupport, require_nonnegative,
+                     require_positive)
 from .quadrature import (DEFAULT_ABS_TOL, Integrand, QuadratureResult,
                          integrate)
 from .weights import WeightFunction
@@ -34,11 +35,6 @@ class MeasureReport:
     value: float
     method: str
     quadrature: Optional[QuadratureResult] = None
-
-
-def _check_gamma(gamma: float):
-    if not 0 < gamma < math.inf:
-        raise DomainError(f"require finite gamma > 0, got {gamma}")
 
 
 def _log_kernel_integral(neg_log, weight, gamma: float, lo: float,
@@ -77,7 +73,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
     this weight tag, else quadrature), ``"closed_form"`` or
     ``"quadrature"``.
     """
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     if method not in ("auto", CLOSED_FORM, QUADRATURE):
         raise DomainError(f"unknown method {method!r}")
 
@@ -120,7 +116,7 @@ def normalized_wfgcpe(model: DistributionModel, psi: WeightFunction,
 
     Limits: 1 at ``gamma = 1``; ``int psi K dx`` as ``gamma -> 0+``.
     """
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     denom = weighted_cpe(model, psi)
     if not math.isfinite(denom) or denom <= 0.0:
         raise DegenerateNormalizer(
@@ -132,7 +128,7 @@ def normalized_wfgcpe(model: DistributionModel, psi: WeightFunction,
 def dynamic_wfgcpe(model: DistributionModel, psi: WeightFunction,
                    gamma: float, t: float) -> float:
     """Entropy of the past lifetime ``X | X <= t`` at inspection time ``t``."""
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     lo, hi = model.support
     if not lo < t < hi:
         raise DomainError(f"t={t} outside open support ({lo}, {hi})")
@@ -151,7 +147,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
 
     The expectation of this decreasing function recovers the entropy.
     """
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     lo, hi = model.support
     if u >= hi:
         return 0.0
@@ -162,7 +158,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
 def wfgcre(model: DistributionModel, psi: WeightFunction,
            gamma: float) -> float:
     """Residual counterpart: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     return _log_kernel_integral(model.neg_log_survival, psi, gamma,
                                 *model.support)[0]
 
@@ -174,9 +170,8 @@ def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
     For ``psi = x`` this satisfies the decomposition
     ``a^2 CPE^x(X) + a b CPE(X)``.
     """
-    _check_gamma(gamma)
-    if a <= 0 or b < 0:
-        raise DomainError(f"require a > 0 and b >= 0, got a={a}, b={b}")
+    require_positive(gamma=gamma, a=a)
+    require_nonnegative(b=b)
     return a * _log_kernel_integral(model.neg_log_cdf,
                                     lambda x: psi(a * x + b), gamma,
                                     *model.support)[0]
@@ -194,8 +189,7 @@ def rl_fractional_integral(f: Callable[[float], float],
     ``h`` must be strictly increasing on ``(a, t)``; this is verified on a
     probe grid. ``h_prime`` defaults to a central finite difference.
     """
-    if order <= 0:
-        raise DomainError(f"require order > 0, got {order}")
+    require_positive(order=order)
     if not a < t:
         raise DomainError(f"require a < t, got ({a}, {t})")
 
@@ -229,7 +223,7 @@ def wfgcpe_via_fractional_bridge(model: DistributionModel,
     """Entropy recovered as a Riemann-Liouville integral of order
     ``gamma + 1`` with ``h = ln K`` and ``f = psi K^2 / k``, in the limit
     ``a -> lo``, ``t -> s``. Independent route for cross-checking."""
-    _check_gamma(gamma)
+    require_positive(gamma=gamma)
     lo, hi = model.support
     if math.isinf(hi):
         raise UnboundedSupport("bridge check requires finite support")

@@ -22,7 +22,7 @@ from typing import Callable
 
 import scipy.integrate
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, require_positive
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-9
@@ -93,8 +93,7 @@ def integrate(
     the estimate is negative or not finite: QUADPACK's estimate is a
     heuristic, and a negative one has been seen on divergent integrals.
     """
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise DomainError("tolerances must be positive")
+    require_positive(abs_tol=abs_tol, rel_tol=rel_tol)
 
     ev = _guarded(f.eval)
     if math.isinf(f.hi):

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, WeightAntiderivativeUnavailable
+from .errors import (DomainError, WeightAntiderivativeUnavailable,
+                     require_nonnegative)
 from .quadrature import Integrand, integrate
 
 INCREASING = "increasing"
@@ -118,6 +119,7 @@ def self_density_weight(model) -> WeightFunction:
 
 def power_weight(exponent: float) -> WeightFunction:
     """Weight ``psi(x) = x**p`` for ``p >= 0`` (used by the xi^gamma bound)."""
+    require_nonnegative(p=exponent)
     if exponent == 0:
         return weight_one()
     p = float(exponent)

@@ -80,6 +80,57 @@ def test_check_order_disp_matches_pairwise_loop(m1, m2):
     assert (verdict.status, verdict.witness) == _disp_loop(m1, m2)
 
 
+def _st_hr_loop(m1, m2, relation, grid=256):
+    """The per-point "st" and "hr" checks, kept as the reference."""
+    lo = min(m.support[0] for m in (m1, m2))
+    hi = max(m.quantile(1.0 - 1e-10) if math.isinf(m.support[1])
+             else m.support[1] for m in (m1, m2))
+    xs = np.linspace(lo, hi, grid + 2)[1:-1]
+    if relation == "st":
+        for x in xs:
+            if m2.cdf(x) > m1.cdf(x) + 1e-9:
+                return "violated", (float(x),)
+        return "holds_on_grid", None
+    ratios, pts = [], []
+    for x in xs:
+        s1, s2 = m1.survival(x), m2.survival(x)
+        if s1 > 1e-12 and s2 > 1e-12:
+            ratios.append(s2 / s1)
+            pts.append(float(x))
+    for i in range(1, len(ratios)):
+        if ratios[i] < ratios[i - 1] - 1e-9:
+            return "violated", (pts[i],)
+    return ("inconclusive" if len(ratios) < 2 else "holds_on_grid"), None
+
+
+#: ``K = x^2`` on (0, 1) with float-only callables: the elementwise map
+SQUARE_FLOAT_ONLY = make_custom(
+    cdf=lambda x: min(max(x, 0.0), 1.0) ** 2,
+    pdf=lambda x: 2.0 * x if 0.0 < x < 1.0 else 0.0,
+    quantile=lambda u: math.sqrt(u), support=(0.0, 1.0))
+
+ST_HR_PAIRS = [
+    (make_power(1.0, 1.0), make_power(1.0, 3.0)),
+    (make_power(1.0, 3.0), make_power(1.0, 1.0)),
+    (make_exponential(2.0), make_exponential(1.0)),
+    (make_exponential(1.0), make_exponential(2.0)),
+    (make_weibull_square(1.0), make_exponential(1.0)),
+    (make_frechet(1.0, 4.0), make_exponential(0.5)),
+    (make_uniform_shifted(0.0), make_power(2.0, 1.0)),
+    (make_uniform_shifted(0.0), SQUARE_FLOAT_ONLY),
+    (SQUARE_FLOAT_ONLY, make_uniform_shifted(0.0)),
+]
+
+
+@pytest.mark.parametrize("relation", ["st", "hr"])
+@pytest.mark.parametrize("m1, m2", ST_HR_PAIRS,
+                         ids=lambda m: f"{m.family}{m.params}")
+def test_check_order_st_hr_match_per_point_loop(m1, m2, relation):
+    verdict = check_order(m1, m2, relation)
+    assert (verdict.status, verdict.witness) == _st_hr_loop(m1, m2,
+                                                            relation)
+
+
 def test_check_order_grid_validation():
     m = make_power(1.0, 2.0)
     with pytest.raises(DomainError):

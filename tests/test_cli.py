@@ -10,10 +10,13 @@ import sys
 import pytest
 
 from wfgcpe import cli
+from wfgcpe.analysis import SimulationConfig, clt_diagnostic
 from wfgcpe.cli import TABLE3_PUBLISHED, main
+from wfgcpe.distributions import (make_power, make_uniform_shifted,
+                                  make_weibull_square)
 from wfgcpe.empirical import (empirical_wfgcpe, exact_moments_power_square,
                               load_dataset)
-from wfgcpe.weights import weight_x
+from wfgcpe.weights import self_density_weight, weight_x
 
 
 def run(capsys, *argv):
@@ -189,6 +192,55 @@ def test_compute_non_finite_gamma_exit_2(capsys):
                              gamma)
         assert code == 2 and out == ""
         assert "gamma" in err
+
+
+@pytest.mark.parametrize("family", [
+    ("uniform", "--a", "nan"), ("power", "--b", "inf"),
+    ("weibull-square", "--theta", "inf")], ids=" ".join)
+def test_compute_non_finite_family_parameter_exit_2(capsys, family):
+    dist, flag, value = family
+    code, out, err = run(capsys, "compute", "--dist", dist, flag, value,
+                         "--gamma", "1")
+    assert code == 2 and out == ""
+    assert flag[2:] in err
+
+
+#: (simulate arguments, the same population and weight, moment source)
+SELECTOR_CASES = [
+    (("--pop", "power-square"), make_power(1.0, 2.0), weight_x(),
+     "exact_power_square"),
+    (("--pop", "power", "--b", "1", "--c", "2"), make_power(1.0, 2.0),
+     weight_x(), "exact_power_square"),
+    (("--pop", "weibull-square", "--theta", "2"), make_weibull_square(2.0),
+     weight_x(), "exact_weibull"),
+    (("--pop", "uniform", "--weight", "selfdensity"),
+     make_uniform_shifted(0.0),
+     self_density_weight(make_uniform_shifted(0.0)), "exact_self_weight"),
+    (("--pop", "power", "--b", "2", "--c", "3"), make_power(2.0, 3.0),
+     weight_x(), "monte_carlo"),
+]
+
+
+@pytest.mark.parametrize("argv, population, weight, source", [
+    pytest.param(*case, id=" ".join(case[0])) for case in SELECTOR_CASES])
+def test_simulate_and_clt_pick_the_same_moments(capsys, argv, population,
+                                                weight, source):
+    code, out, _ = run(capsys, "simulate", *argv, "--n", "20", "--gamma",
+                       "0.5", "--replicates", "200", "--seed", "4",
+                       "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    config = SimulationConfig(200, 20, 4, population, weight, 0.5)
+    report = clt_diagnostic(config)
+    assert report.moment_source == source
+    if source == "monte_carlo":
+        assert "exact_mean" not in row
+        return
+    # the same draws standardized by the CLI's moments give the same report
+    given = clt_diagnostic(config, (row["exact_mean"],
+                                    row["exact_variance"]))
+    assert (given.ks_distance, given.skewness) == (report.ks_distance,
+                                                   report.skewness)
 
 
 def test_simulate_negative_seed_exit_2(capsys):

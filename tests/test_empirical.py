@@ -11,8 +11,8 @@ from scipy.special import gamma as gamma_fn
 
 from wfgcpe import empirical
 from wfgcpe.distributions import make_power
-from wfgcpe.empirical import (BLOOD_CANCER_43_LITERAL, as_sample,
-                              empirical_cdf, empirical_wfgcpe,
+from wfgcpe.empirical import (BLOOD_CANCER_43_LITERAL, EmpiricalSample,
+                              as_sample, empirical_cdf, empirical_wfgcpe,
                               exact_moments_power_square,
                               exact_moments_self_weight,
                               exact_moments_weibull, export_dataset,
@@ -103,7 +103,9 @@ def test_ties_give_zero_spacings():
 def test_estimate_does_not_depend_on_sample_order(values, rnd, gamma):
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    unordered = as_sample(shuffled, sort=False)
+    v = np.array(shuffled, dtype=float)
+    unordered = EmpiricalSample(v, v.size, "memory",
+                                bool(np.all(np.diff(v) >= 0)))
     for weight in (weight_x(), weight_sqrt_x()):
         assert (empirical_wfgcpe(unordered, weight, gamma)
                 == empirical_wfgcpe(as_sample(values), weight, gamma))

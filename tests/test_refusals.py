@@ -1,0 +1,73 @@
+"""Typed refusals of out-of-domain parameters: a zero, negative, NaN or
+infinite parameter gives ``DomainError`` at every entry point, never a
+raw ``ZeroDivisionError``/``ValueError`` nor a NaN or infinite value."""
+
+import math
+
+import pytest
+
+from wfgcpe.analysis import prh_bound_check
+from wfgcpe.distributions import (PrhParameter, make_exponential,
+                                  make_frechet, make_power,
+                                  make_uniform_shifted, make_weibull_square,
+                                  prh_expectation_terms, prh_n_step,
+                                  prh_recurrence_step, prh_transform,
+                                  prh_wfgcpe)
+from wfgcpe.empirical import exact_moments_self_weight
+from wfgcpe.errors import DomainError
+from wfgcpe.measures import affine_wfgcpe, rl_fractional_integral
+from wfgcpe.weights import power_weight, weight_x
+
+BASE = make_power(1.0, 2.0)
+PSI = weight_x()
+NON_FINITE = (math.nan, math.inf)
+
+PRH_ENTRY_POINTS = {
+    "PrhParameter": PrhParameter,
+    "prh_transform": lambda eta: prh_transform(BASE, eta),
+    "prh_expectation_terms":
+        lambda eta: prh_expectation_terms(BASE, eta, PSI, 1.0),
+    "prh_wfgcpe": lambda eta: prh_wfgcpe(BASE, eta, PSI, 1.0),
+    "prh_recurrence_step":
+        lambda eta: prh_recurrence_step(BASE, eta, PSI, 1.0, 0.1),
+    "prh_n_step": lambda eta: prh_n_step(BASE, eta, PSI, 1.0, 2, 0.1),
+    "prh_bound_check": lambda eta: prh_bound_check(BASE, eta, PSI, 1.0),
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(PRH_ENTRY_POINTS))
+def test_prh_entry_points_refuse_eta(entry, eta):
+    with pytest.raises(DomainError):
+        PRH_ENTRY_POINTS[entry](eta)
+
+
+def _refusals():
+    for v in NON_FINITE:
+        yield prh_expectation_terms, (BASE, 1.5, PSI, v)
+        yield make_power, (v, 2.0)
+        yield make_power, (1.0, v)
+        yield make_frechet, (v, 4.0)
+        yield make_frechet, (1.0, v)
+        yield make_uniform_shifted, (v,)
+        yield make_weibull_square, (v,)
+        yield make_exponential, (v,)
+        yield power_weight, (v,)
+        yield rl_fractional_integral, (math.exp, math.log1p, v, 0.0, 1.0)
+        yield prh_n_step, (BASE, 1.5, PSI, 1.0, v, 0.1)
+        yield exact_moments_self_weight, (v, 0.5)
+    yield affine_wfgcpe, (BASE, PSI, 1.0, math.nan, 0.0)
+    yield affine_wfgcpe, (BASE, PSI, 1.0, 1.0, math.inf)
+    yield power_weight, (-1.0,)
+
+
+def _case_id(fn, args):
+    shown = ", ".join(f"{a:g}" for a in args if isinstance(a, (int, float)))
+    return f"{fn.__name__}({shown})"
+
+
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(fn, args, id=_case_id(fn, args)) for fn, args in _refusals()])
+def test_out_of_domain_parameter_is_refused(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)

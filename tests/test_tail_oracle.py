@@ -1,6 +1,6 @@
 """Quadrature in the right tail: an in-test mpmath oracle for the Weibull
-and exponential families, and typed refusals of divergent Frechet
-integrals."""
+and exponential families and for the Frechet residual form, and typed
+refusals of divergent Frechet integrals."""
 
 import mpmath as mp
 import pytest
@@ -9,7 +9,7 @@ from wfgcpe.cli import EXIT_NONCONVERGENCE, main
 from wfgcpe.distributions import (make_exponential, make_frechet,
                                   make_weibull_square)
 from wfgcpe.errors import NonConvergence
-from wfgcpe.measures import affine_wfgcpe, tau, wfgcpe
+from wfgcpe.measures import affine_wfgcpe, tau, wfgcpe, wfgcre
 from wfgcpe.weights import BUILTIN_WEIGHTS
 
 MP_WEIGHTS = {
@@ -74,6 +74,28 @@ def test_tail_cells_match_mpmath(family, weight, gamma):
                  method="quadrature").value
     expected = _mp_wfgcpe(t_of_x, weight, gamma)
     assert abs(got - expected) <= 1e-9 * abs(expected)
+
+
+def _mp_frechet_wfgcre(weight, gamma):
+    """Residual form of Frechet(1, 4): survival S = 1 - e^{-x^-4}."""
+    psi = MP_WEIGHTS[weight]
+
+    def f(x):
+        if x == 0:
+            return mp.mpf(0)
+        log_s = _mp_log1m_exp(x ** -4)
+        return psi(x) * mp.exp(log_s) * (-log_s) ** gamma
+
+    with mp.workdps(20):
+        return float(mp.quad(f, [0, 1, mp.inf]) / mp.gamma(gamma + 1))
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 2.75])
+@pytest.mark.parametrize("weight", sorted(MP_WEIGHTS))
+def test_frechet_residual_cells_match_mpmath(weight, gamma):
+    got = wfgcre(make_frechet(1.0, 4.0), BUILTIN_WEIGHTS[weight](), gamma)
+    expected = _mp_frechet_wfgcre(weight, gamma)
+    assert abs(got - expected) <= 1e-8 * abs(expected)
 
 
 #: Frechet(1, 4) with weight x^p diverges for gamma <= (p + 1) / 4; at
