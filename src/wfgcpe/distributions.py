@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +38,9 @@ class DistributionModel:
     ``closed_wfgcpe(tag, gamma)`` returns the closed-form entropy for a
     weight tag when the family has one; it raises ``KeyError`` for
     unsupported tags and ``ConstraintError`` when ``gamma`` sits at or
-    below a divergence threshold.
+    below a divergence threshold. ``tail_index`` is ``a`` with
+    ``-ln K(x) ~ C x^{-a}`` as ``x -> inf`` (read by ``_tail_diverges``);
+    ``None`` where undeclared or lighter than any power.
     """
 
     cdf: Callable[[float], float]
@@ -49,6 +52,7 @@ class DistributionModel:
     closed_wfgcpe: Optional[Callable[[str, float], float]] = None
     log_cdf: Optional[Callable[[float], float]] = None
     log_survival: Optional[Callable[[float], float]] = None
+    tail_index: Optional[float] = None
 
     def survival(self, x: float) -> float:
         return 1.0 - self.cdf(x)
@@ -97,6 +101,16 @@ def _log1m_exp(t: float) -> float:
     if t >= _LN2:
         return math.log1p(-math.exp(-t))
     return math.log(-math.expm1(-t)) if t > 0.0 else -math.inf
+
+
+def _tail_diverges(a: Optional[float], p: Optional[float],
+                   gamma: float) -> bool:
+    """Whether ``int^inf psi K (-ln K)^gamma dx`` diverges, for tail index
+    ``a`` (``-ln K ~ C x^{-a}``) and weight growth ``p`` (``psi ~ x^p``):
+    the integrand decays like ``x^{p - a gamma}``. The residual kernel
+    decays like ``x^{p - a} (ln x)^gamma``: this rule at ``gamma = 1``.
+    An undeclared exponent (``None``) decides nothing."""
+    return a is not None and p is not None and gamma <= (p + 1.0) / a
 
 
 def make_power(b: float, c: float) -> DistributionModel:
@@ -178,7 +192,7 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         m = {"one": 1.0, "x": 2.0, "x2": 3.0}.get(tag)
         if m is None:
             raise KeyError(tag)
-        if g <= m / c:
+        if _tail_diverges(c, m - 1.0, g):
             raise ConstraintError(
                 f"Frechet closed form for weight {tag!r} needs gamma > {m / c:g}, "
                 f"got {g:g} (integral diverges)")
@@ -207,6 +221,7 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         closed_wfgcpe=closed,
         log_cdf=lambda x: -b * x ** -c if x > 0 else -math.inf,
         log_survival=lambda x: _log1m_exp(b * x ** -c) if x > 0 else 0.0,
+        tail_index=c,
     )
 
 
@@ -348,7 +363,31 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
         support=base.support,
         family="prh", params={"eta": e, "base": base.family, **base.params},
         log_cdf=lambda x: -e * base.neg_log_cdf(x),
+        tail_index=base.tail_index,  # -ln K1^eta = eta (-ln K1)
     )
+
+
+def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
+              gamma: float, tilde: bool = False) -> float:
+    """``E`` (``Et`` with ``tilde``) of ``prh_expectation_terms``."""
+    require_positive(gamma=gamma)
+    if tilde and psi.derivative is not None and psi.monotonicity == "constant":
+        return 0.0
+
+    def f(u):
+        v = u ** (1.0 / e)
+        if not 0.0 < v < 1.0:  # u rounds onto an endpoint: no mass there
+            return 0.0
+        x = base.quantile(v)
+        if not tilde:
+            return x * psi(x) * (-math.log(u)) ** (gamma - 1.0)
+        dp = psi.psi_prime(x)
+        if dp == 0.0:
+            return 0.0
+        lam1 = base.pdf(x) / base.cdf(x)
+        return x * dp * (-math.log(u)) ** (gamma - 1.0) / lam1
+
+    return integrate(Integrand(f, 0.0, 1.0)).value / _gamma(gamma)
 
 
 def prh_expectation_terms(base: DistributionModel, eta,
@@ -363,31 +402,8 @@ def prh_expectation_terms(base: DistributionModel, eta,
     ``Et = (1/Gamma(g)) int_0^1 Q2(u) psi'(Q2(u)) (-ln u)^(g-1) / lambda1 du``
     """
     e = _as_eta(eta)
-    require_positive(gamma=gamma)
-
-    def q2(u):
-        return base.quantile(u ** (1.0 / e))
-
-    def f_main(u):
-        x = q2(u)
-        return x * psi(x) * (-math.log(u)) ** (gamma - 1.0)
-
-    def f_tilde(u):
-        x = q2(u)
-        dp = psi.psi_prime(x)
-        if dp == 0.0:
-            return 0.0
-        k1 = base.cdf(x)
-        lam1 = base.pdf(x) / k1
-        return x * dp * (-math.log(u)) ** (gamma - 1.0) / lam1
-
-    g = _gamma(gamma)
-    main = integrate(Integrand(f_main, 0.0, 1.0)).value / g
-    if psi.derivative is not None and psi.monotonicity == "constant":
-        tilde = 0.0
-    else:
-        tilde = integrate(Integrand(f_tilde, 0.0, 1.0)).value / g
-    return PrhExpectationTerms(main, tilde, gamma)
+    return PrhExpectationTerms(_prh_term(base, e, psi, gamma),
+                               _prh_term(base, e, psi, gamma, True), gamma)
 
 
 def prh_wfgcpe(base: DistributionModel, eta, psi: WeightFunction,
@@ -397,9 +413,8 @@ def prh_wfgcpe(base: DistributionModel, eta, psi: WeightFunction,
     ``E(g) - E(g + 1) - eta^{-1} Et(g + 1)``.
     """
     e = _as_eta(eta)
-    t0 = prh_expectation_terms(base, e, psi, gamma)
-    t1 = prh_expectation_terms(base, e, psi, gamma + 1.0)
-    return t0.e_term - t1.e_term - t1.e_tilde_term / e
+    term = partial(_prh_term, base, e, psi)
+    return term(gamma) - term(gamma + 1.0) - term(gamma + 1.0, True) / e
 
 
 def prh_recurrence_step(base: DistributionModel, eta, psi: WeightFunction,
@@ -409,11 +424,9 @@ def prh_recurrence_step(base: DistributionModel, eta, psi: WeightFunction,
     ``E(g) - E(g + 2) - eta^{-1} [Et(g + 1) + Et(g + 2)] - prior``.
     """
     e = _as_eta(eta)
-    t0 = prh_expectation_terms(base, e, psi, gamma)
-    t1 = prh_expectation_terms(base, e, psi, gamma + 1.0)
-    t2 = prh_expectation_terms(base, e, psi, gamma + 2.0)
-    return (t0.e_term - t2.e_term
-            - (t1.e_tilde_term + t2.e_tilde_term) / e - prior)
+    term = partial(_prh_term, base, e, psi)
+    return (term(gamma) - term(gamma + 2.0)
+            - (term(gamma + 1.0, True) + term(gamma + 2.0, True)) / e - prior)
 
 
 def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
@@ -421,19 +434,20 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
     """Closed n-step recurrence for the order ``gamma + n`` entropy.
 
     ``prior`` is the order ``gamma`` value. Equals ``n`` chained
-    applications of ``prh_recurrence_step``.
+    applications of ``prh_recurrence_step``, which is its ``n = 1`` case
+    (the two ``E(g + 1)`` terms cancel).
     """
     if not (n >= 1 and float(n).is_integer()):
         raise DomainError(f"require integer n >= 1, got {n}")
+    if n == 1:
+        return prh_recurrence_step(base, eta, psi, gamma, prior)
     e = _as_eta(eta)
-    tn = prh_expectation_terms(base, e, psi, gamma + n)
-    tn1 = prh_expectation_terms(base, e, psi, gamma + n + 1.0)
-    t0 = prh_expectation_terms(base, e, psi, gamma)
-    t1 = prh_expectation_terms(base, e, psi, gamma + 1.0)
+    term = partial(_prh_term, base, e, psi)
     sign = (-1.0) ** n
-    return (tn.e_term - tn1.e_term
-            - sign * (t0.e_term - t1.e_term)
-            + (sign * t1.e_tilde_term - tn1.e_tilde_term) / e
+    return (term(gamma + n) - term(gamma + n + 1.0)
+            - sign * (term(gamma) - term(gamma + 1.0))
+            + (sign * term(gamma + 1.0, True)
+               - term(gamma + n + 1.0, True)) / e
             + sign * prior)
 
 

@@ -22,7 +22,8 @@ class NonConvergence(WfgcpeError):
 
 
 class ConstraintError(WfgcpeError):
-    """A closed form was requested outside its convergence constraints."""
+    """A closed form outside its convergence constraints, or an integral
+    that the declared tail exponents show diverges (before quadrature)."""
 
 
 class UnboundedSupport(WfgcpeError):

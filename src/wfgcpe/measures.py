@@ -18,10 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .distributions import DistributionModel
-from .errors import (DegenerateNormalizer, DomainError, MonotonicityError,
-                     NonConvergence, UnboundedSupport, require_nonnegative,
-                     require_positive)
+from .distributions import DistributionModel, _tail_diverges
+from .errors import (ConstraintError, DegenerateNormalizer, DomainError,
+                     MonotonicityError, NonConvergence, UnboundedSupport,
+                     require_nonnegative, require_positive)
 from .quadrature import (DEFAULT_ABS_TOL, Integrand, QuadratureResult,
                          integrate)
 from .weights import WeightFunction
@@ -65,6 +65,18 @@ def _log_kernel_integral(neg_log, weight, gamma: float, lo: float,
     return float(q.value / _gamma(gamma + 1.0)), q
 
 
+def _refuse_divergent_tail(model: DistributionModel, psi: WeightFunction,
+                           gamma: float, residual: bool = False):
+    """``ConstraintError``, before any quadrature, where ``_tail_diverges``
+    finds the right tail divergent (for the residual kernel: at 1)."""
+    a, p = model.tail_index, psi.growth
+    if _tail_diverges(a, p, 1.0 if residual else gamma):
+        raise ConstraintError(
+            f"{model.family} tail index {a:g} with weight {psi.tag!r} ~ "
+            f"x^{p:g}: integral diverges for gamma "
+            f"{'> 0' if residual else f'<= {(p + 1.0) / a:g}'}, got {gamma:g}")
+
+
 def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
            method: str = "auto") -> MeasureReport:
     """Weighted fractional cumulative past entropy of ``model``.
@@ -89,6 +101,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
     elif method == CLOSED_FORM:
         raise DomainError(f"family {model.family!r} has no closed forms")
 
+    _refuse_divergent_tail(model, psi, gamma)
     value, q = _log_kernel_integral(model.neg_log_cdf, psi, gamma,
                                     *model.support)
     return MeasureReport(value, QUADRATURE, q)
@@ -151,6 +164,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
     lo, hi = model.support
     if u >= hi:
         return 0.0
+    _refuse_divergent_tail(model, psi, gamma)
     return _log_kernel_integral(model.neg_log_cdf, psi, gamma, max(u, lo),
                                 hi, damped=False)[0]
 
@@ -159,6 +173,7 @@ def wfgcre(model: DistributionModel, psi: WeightFunction,
            gamma: float) -> float:
     """Residual counterpart: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
     require_positive(gamma=gamma)
+    _refuse_divergent_tail(model, psi, gamma, residual=True)
     return _log_kernel_integral(model.neg_log_survival, psi, gamma,
                                 *model.support)[0]
 
@@ -172,6 +187,7 @@ def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
     """
     require_positive(gamma=gamma, a=a)
     require_nonnegative(b=b)
+    _refuse_divergent_tail(model, psi, gamma)
     return a * _log_kernel_integral(model.neg_log_cdf,
                                     lambda x: psi(a * x + b), gamma,
                                     *model.support)[0]

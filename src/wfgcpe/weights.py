@@ -46,6 +46,9 @@ class WeightFunction:
     derivative: Optional[Callable[[float], float]] = None
     monotonicity: str = NEITHER
     tag: str = "custom"
+    #: ``p`` with ``psi(x) ~ x^p`` as ``x -> inf`` (``-inf``: faster decay
+    #: than any power; ``None``: undeclared), for the divergence rule.
+    growth: Optional[float] = None
 
     def __call__(self, x):
         return self.psi(x)
@@ -80,24 +83,24 @@ class WeightFunction:
 
 def weight_one() -> WeightFunction:
     return WeightFunction(lambda x: 1.0, lambda x: x, lambda x: 0.0,
-                          CONSTANT, "one")
+                          CONSTANT, "one", 0.0)
 
 
 def weight_x() -> WeightFunction:
     return WeightFunction(lambda x: x, lambda x: 0.5 * x * x, lambda x: 1.0,
-                          INCREASING, "x")
+                          INCREASING, "x", 1.0)
 
 
 def weight_x_squared() -> WeightFunction:
     return WeightFunction(lambda x: x * x, lambda x: x ** 3 / 3.0,
-                          lambda x: 2.0 * x, INCREASING, "x2")
+                          lambda x: 2.0 * x, INCREASING, "x2", 2.0)
 
 
 def weight_sqrt_x() -> WeightFunction:
     return WeightFunction(lambda x: math.sqrt(x),
                           lambda x: (2.0 / 3.0) * x ** 1.5,
                           lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf,
-                          INCREASING, "sqrtx")
+                          INCREASING, "sqrtx", 0.5)
 
 
 def weight_exp_neg() -> WeightFunction:
@@ -109,7 +112,7 @@ def weight_exp_neg() -> WeightFunction:
 
     return WeightFunction(lambda x: math.exp(-x), big,
                           lambda x: -math.exp(-x),
-                          DECREASING, "expneg")
+                          DECREASING, "expneg", -math.inf)
 
 
 def self_density_weight(model) -> WeightFunction:
@@ -126,7 +129,7 @@ def power_weight(exponent: float) -> WeightFunction:
     return WeightFunction(lambda x: x ** p,
                           lambda x: x ** (p + 1) / (p + 1),
                           lambda x: p * x ** (p - 1) if x > 0 else 0.0,
-                          INCREASING, f"pow{p:g}")
+                          INCREASING, f"pow{p:g}", p)
 
 
 def custom_weight(psi, antiderivative=None, derivative=None,
@@ -176,7 +179,8 @@ def piecewise_linear_weight(xs, ys) -> WeightFunction:
         mono = DECREASING
     else:
         mono = NEITHER
-    return WeightFunction(psi, big, None, mono, "custom")
+    growth = 0.0 if ys[-1] > 0 else -math.inf  # constant past the table
+    return WeightFunction(psi, big, None, mono, "custom", growth)
 
 
 BUILTIN_WEIGHTS = {

@@ -1,16 +1,23 @@
 """Quadrature in the right tail: an in-test mpmath oracle for the Weibull
-and exponential families and for the Frechet residual form, and typed
-refusals of divergent Frechet integrals."""
+and exponential families and for the Frechet forms, typed refusals of
+divergent Frechet integrals before any quadrature, and the PRH
+decomposition against the transformed model."""
+
+import math
 
 import mpmath as mp
 import pytest
 
-from wfgcpe.cli import EXIT_NONCONVERGENCE, main
+from wfgcpe import cli, measures
+from wfgcpe.cli import EXIT_NONCONVERGENCE, EXIT_USAGE, main
 from wfgcpe.distributions import (make_exponential, make_frechet,
-                                  make_weibull_square)
-from wfgcpe.errors import NonConvergence
+                                  make_weibull_square, prh_n_step,
+                                  prh_recurrence_step, prh_transform,
+                                  prh_wfgcpe)
+from wfgcpe.errors import ConstraintError, NonConvergence
 from wfgcpe.measures import affine_wfgcpe, tau, wfgcpe, wfgcre
-from wfgcpe.weights import BUILTIN_WEIGHTS
+from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight, power_weight,
+                            self_density_weight)
 
 MP_WEIGHTS = {
     "one": lambda x: mp.mpf(1),
@@ -99,7 +106,8 @@ def test_frechet_residual_cells_match_mpmath(weight, gamma):
 
 
 #: Frechet(1, 4) with weight x^p diverges for gamma <= (p + 1) / 4; at
-#: these cells QUADPACK's estimate passed and the value came out negative.
+#: these cells QUADPACK's estimate once passed and the value came out
+#: negative. The declared tail index and weight growth now refuse them.
 DIVERGENT_FRECHET = [("x", 0.25), ("x2", 0.25), ("x2", 0.5), ("sqrtx", 0.25)]
 
 
@@ -107,22 +115,158 @@ DIVERGENT_FRECHET = [("x", 0.25), ("x2", 0.25), ("x2", 0.5), ("sqrtx", 0.25)]
 def test_divergent_frechet_is_refused(weight, gamma):
     model = make_frechet(1.0, 4.0)
     psi = BUILTIN_WEIGHTS[weight]()
-    with pytest.raises(NonConvergence):
+    with pytest.raises(ConstraintError):
         wfgcpe(model, psi, gamma, method="quadrature")
-    with pytest.raises(NonConvergence):
+    with pytest.raises(ConstraintError):
         affine_wfgcpe(model, psi, gamma, 1.5, 0.5)
 
 
 def test_divergent_tau_is_refused():
     model = make_frechet(1.0, 4.0)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(ConstraintError):
         tau(model, BUILTIN_WEIGHTS["x2"](), 0.5, model.quantile(0.3))
 
 
-def test_divergent_compute_exits_4(capsys):
-    # sqrtx has no Frechet closed form, so compute takes quadrature
+def test_divergent_compute_exits_2(capsys):
+    # sqrtx has no Frechet closed form, so compute takes the quadrature
+    # path, which refuses before integrating
+    code = main(["compute", "--dist", "frechet", "--b", "1", "--c", "4",
+                 "--weight", "sqrtx", "--gamma", "0.25"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == "" and "error:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# The divergence rule on the Frechet(1, 4) grid
+# ---------------------------------------------------------------------------
+
+FRECHET = make_frechet(1.0, 4.0)
+GAMMAS = (0.25, 0.5, 1.0, 1.5, 2.75)
+#: The weight growth p of each builtin weight; self_density declares none
+#: (its density decays like x^-5, so no cell diverges).
+GROWTH = {"one": 0.0, "x": 1.0, "x2": 2.0, "sqrtx": 0.5,
+          "expneg": -math.inf, "self_density": None}
+TAU_U = 0.3
+AFFINE = (1.5, 0.5)
+
+
+def _weight(name):
+    if name == "self_density":
+        return self_density_weight(FRECHET)
+    return BUILTIN_WEIGHTS[name]()
+
+
+def _mp_weight(name):
+    if name == "self_density":  # k(x) = 4 x^-5 e^{-x^-4}
+        return lambda x: 4 * x ** -5 * mp.exp(-x ** -4)
+    return MP_WEIGHTS[name]
+
+
+def _diverges(name, gamma):
+    p = GROWTH[name]
+    return p is not None and gamma <= (p + 1) / 4
+
+
+def _mp_frechet(measure, name, gamma):
+    """In ``t = x^-4`` the kernel is ``psi(x) e^{-t} t^gamma`` with
+    ``dx = t^{-5/4} dt / 4``, singular like ``t^{gamma - (p + 1)/4 - 1}``
+    at 0; ``t = v^8`` makes every finite cell of the grid bounded there."""
+    psi = _mp_weight(name)
+    a, b = AFFINE if measure == "affine" else (1, 0)
+    hi = (-mp.log(TAU_U) if measure == "tau" else mp.inf) ** 0.125
+    damped = measure != "tau"
+
+    def f(v):
+        if v == 0:
+            return mp.mpf(0)
+        t = v ** 8
+        x = a * t ** -0.25 + b
+        return (2 * a * psi(x) * (mp.exp(-t) if damped else 1)
+                * t ** gamma * v ** -3)
+
+    with mp.workdps(20):
+        return float(mp.quad(f, [0, 1, hi] if hi > 1 else [0, hi])
+                     / mp.gamma(gamma + 1))
+
+
+MEASURES = {
+    "wfgcpe": lambda psi, g: wfgcpe(FRECHET, psi, g,
+                                    method="quadrature").value,
+    "tau": lambda psi, g: tau(FRECHET, psi, g, FRECHET.quantile(TAU_U)),
+    "affine": lambda psi, g: affine_wfgcpe(FRECHET, psi, g, *AFFINE),
+}
+GRID = [(m, w, g) for m in MEASURES for w in GROWTH for g in GAMMAS]
+
+
+@pytest.mark.parametrize("measure,name,gamma", GRID)
+def test_frechet_grid(monkeypatch, measure, name, gamma):
+    """Refused, without a quadrature call, exactly where gamma <= (p+1)/4;
+    elsewhere equal to the mpmath value."""
+    psi = _weight(name)
+    if _diverges(name, gamma):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a refused cell called integrate")
+
+        monkeypatch.setattr(measures, "integrate", no_quadrature)
+        with pytest.raises(ConstraintError, match="diverges"):
+            MEASURES[measure](psi, gamma)
+        return
+    got = MEASURES[measure](psi, gamma)
+    expected = _mp_frechet(measure, name, gamma)
+    assert abs(got - expected) <= 1e-8 * abs(expected)
+
+
+def test_residual_rule():
+    # 1 - K ~ x^-4: the residual kernel diverges iff p + 1 >= 4, any gamma
+    with pytest.raises(ConstraintError, match="diverges for gamma > 0"):
+        wfgcre(FRECHET, power_weight(3.0), 2.75)
+    assert wfgcre(FRECHET, power_weight(2.5), 2.75) > 0.0
+
+
+def test_prh_model_inherits_the_tail_index():
+    model = prh_transform(FRECHET, 1.7)
+    assert model.tail_index == 4.0
+    with pytest.raises(ConstraintError):
+        wfgcpe(model, BUILTIN_WEIGHTS["x"](), 0.5)
+
+
+def test_undeclared_weight_still_ends_in_nonconvergence(monkeypatch, capsys):
+    # psi = x without a declared growth: quadrature decides, as before
+    with pytest.raises(NonConvergence):
+        wfgcpe(FRECHET, custom_weight(lambda x: x), 0.5)
+    monkeypatch.setitem(cli.BUILTIN_WEIGHTS, "sqrtx",
+                        lambda: custom_weight(math.sqrt, tag="sqrtx"))
     code = main(["compute", "--dist", "frechet", "--b", "1", "--c", "4",
                  "--weight", "sqrtx", "--gamma", "0.25"])
     captured = capsys.readouterr()
     assert code == EXIT_NONCONVERGENCE
     assert captured.out == "" and "error:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# PRH decomposition against the transformed model's quadrature
+# ---------------------------------------------------------------------------
+
+WEIBULL = make_weibull_square(1.0)
+ETA = 1.7
+
+
+def _direct(gamma):
+    return wfgcpe(prh_transform(WEIBULL, ETA), BUILTIN_WEIGHTS["x"](), gamma,
+                  method="quadrature").value
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+def test_prh_decomposition_matches_transformed_model(gamma):
+    # at gamma <= 1 an unused order-gamma term once diverged, and at
+    # gamma = 1 the quantile's argument rounded to 1 and raised
+    psi = BUILTIN_WEIGHTS["x"]()
+    direct = [_direct(gamma + k) for k in range(4)]
+    got = {0: prh_wfgcpe(WEIBULL, ETA, psi, gamma),
+           1: prh_recurrence_step(WEIBULL, ETA, psi, gamma, direct[0])}
+    for n in (1, 2, 3):
+        assert abs(prh_n_step(WEIBULL, ETA, psi, gamma, n, direct[0])
+                   - direct[n]) <= 1e-8 * direct[n]
+    for k, value in got.items():
+        assert abs(value - direct[k]) <= 1e-8 * direct[k]
