@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.stats
 from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel, prh_transform
@@ -105,8 +104,8 @@ def check_order(m1: DistributionModel, m2: DistributionModel,
     ``relation`` is one of ``"st"``, ``"hr"``, ``"disp"``, ``"dcx"``.
     A ``violated`` verdict carries a witness point.
     """
-    if grid < 64:
-        raise DomainError(f"require grid >= 64, got {grid}")
+    if not isinstance(grid, (int, np.integer)) or grid < 64:
+        raise DomainError(f"require an integer grid >= 64, got {grid!r}")
     if relation == "st":
         xs = _probe_grid((m1, m2), grid)
         bad = np.flatnonzero(_elementwise(m2.cdf, xs)
@@ -320,8 +319,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
 
 
 def _power_of_weight(xi: WeightFunction, gamma: float) -> WeightFunction:
-    if xi.tag == "x":
-        return power_weight(gamma)
+    if xi.exact_power is not None:  # (x^p)^gamma = x^{p gamma}
+        return power_weight(xi.exact_power * gamma)
     return WeightFunction(lambda x: xi(x) ** gamma, None, None,
                           xi.monotonicity, f"{xi.tag}^{gamma:g}")
 
@@ -523,6 +522,8 @@ def clt_diagnostic(config: SimulationConfig,
     verdict applies the asymptotic Kolmogorov-Smirnov critical value with
     a 1.5 safety factor, asserted only for ``n >= 200``.
     """
+    import scipy.stats  # slow to import, and needed only here
+
     source = "provided"
     if exact_moments is None:
         exact_moments, source = _exact_moments(

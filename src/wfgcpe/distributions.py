@@ -35,12 +35,11 @@ class DistributionModel:
     the numpy path, so floats pay nothing for the dispatch. User
     callables may take floats only.
 
-    ``closed_wfgcpe(tag, gamma)`` returns the closed-form entropy for a
-    weight tag when the family has one; it raises ``KeyError`` for
-    unsupported tags and ``ConstraintError`` when ``gamma`` sits at or
-    below a divergence threshold. ``tail_index`` is ``a`` with
-    ``-ln K(x) ~ C x^{-a}`` as ``x -> inf`` (read by ``_tail_diverges``);
-    ``None`` where undeclared or lighter than any power.
+    ``closed_wfgcpe(p, gamma)`` returns the closed-form entropy for the
+    weight ``x^p``, or ``None`` where the family has none for that
+    exponent; it is called only after ``_refuse_divergent_tail``, which
+    reads ``tail_index``: ``a`` with ``-ln K(x) ~ C x^{-a}`` as
+    ``x -> inf``, ``None`` where undeclared or lighter than any power.
     """
 
     cdf: Callable[[float], float]
@@ -103,31 +102,32 @@ def _log1m_exp(t: float) -> float:
     return math.log(-math.expm1(-t)) if t > 0.0 else -math.inf
 
 
-def _tail_diverges(a: Optional[float], p: Optional[float],
-                   gamma: float) -> bool:
-    """Whether ``int^inf psi K (-ln K)^gamma dx`` diverges, for tail index
-    ``a`` (``-ln K ~ C x^{-a}``) and weight growth ``p`` (``psi ~ x^p``):
-    the integrand decays like ``x^{p - a gamma}``. The residual kernel
-    decays like ``x^{p - a} (ln x)^gamma``: this rule at ``gamma = 1``.
-    An undeclared exponent (``None``) decides nothing."""
-    return a is not None and p is not None and gamma <= (p + 1.0) / a
+def _refuse_divergent_tail(model: DistributionModel, psi: WeightFunction,
+                           gamma: float, residual: bool = False):
+    """``ConstraintError``, before any closed form or quadrature, where
+    ``int^inf psi K (-ln K)^gamma dx`` diverges: with tail index ``a``
+    (``-ln K ~ C x^{-a}``) and weight growth ``p`` (``psi ~ x^p``) the
+    integrand decays like ``x^{p - a gamma}``. The residual kernel decays
+    like ``x^{p - a} (ln x)^gamma``: the rule at ``gamma = 1``. An
+    undeclared exponent (``None``) decides nothing."""
+    a, p = model.tail_index, psi.growth
+    if a is not None and p is not None and (
+            (1.0 if residual else gamma) <= (p + 1.0) / a):
+        raise ConstraintError(
+            f"{model.family} tail index {a:g} with weight {psi.tag!r} ~ "
+            f"x^{p:g}: integral diverges for gamma "
+            f"{'> 0' if residual else f'<= {(p + 1.0) / a:g}'}, got {gamma:g}")
 
 
 def make_power(b: float, c: float) -> DistributionModel:
     """Power distribution ``K(x) = (x/b)^c`` on ``(0, b)``."""
     require_positive(b=b, c=c)
 
-    def closed(tag, g):
-        # evaluated in log space: the ratio terms underflow to 0 rather
-        # than overflow for very large g
-        if tag == "one":
-            return b * math.exp(g * math.log(c)
-                                - (g + 1.0) * math.log(c + 1.0))
-        if tag == "x":
-            return (b * b / c) * math.exp(-(g + 1.0) * math.log1p(2.0 / c))
-        if tag == "x2":
-            return (b ** 3 / c) * math.exp(-(g + 1.0) * math.log1p(3.0 / c))
-        raise KeyError(tag)
+    def closed(p, g):
+        # b^{p+1} c^g / (c + p + 1)^{g+1}, with the ratio in log space: it
+        # underflows to 0 rather than overflows for very large g
+        return (b ** (p + 1.0) / c
+                * math.exp(-(g + 1.0) * math.log1p((p + 1.0) / c)))
 
     def cdf(x):
         try:
@@ -151,15 +151,13 @@ def make_uniform_shifted(a: float) -> DistributionModel:
     """Uniform distribution on ``(a, a + 1)`` with ``a >= 0``."""
     require_nonnegative(a=a)
 
-    def closed(tag, g):
-        if tag == "one":
-            return 0.5 ** (g + 1.0)
-        if tag == "x":
-            return 3.0 ** -(g + 1.0) + a * 2.0 ** -(g + 1.0)
-        if tag == "x2":
-            return (4.0 ** -(g + 1.0) + 2.0 * a * 3.0 ** -(g + 1.0)
-                    + a * a * 2.0 ** -(g + 1.0))
-        raise KeyError(tag)
+    def closed(p, g):
+        # (a + t)^p expanded binomially, for integer p only
+        if not p.is_integer():
+            return None
+        n = int(p)
+        return sum(math.comb(n, k) * a ** (n - k) * (k + 2.0) ** -(g + 1.0)
+                   for k in range(n, -1, -1))
 
     def cdf(x):
         try:
@@ -182,20 +180,14 @@ def make_uniform_shifted(a: float) -> DistributionModel:
 def make_frechet(b: float, c: float) -> DistributionModel:
     """Frechet distribution ``K(x) = exp(-b x^{-c})`` on ``(0, inf)``.
 
-    The closed form for weight ``x^m`` converges only for
-    ``gamma > (m + 1) / c``; below that threshold the defining integral
-    diverges and ``ConstraintError`` is raised.
+    The entropy for weight ``x^p`` is finite only for
+    ``gamma > (p + 1) / c`` (tail index ``c``); below that threshold the
+    defining integral diverges and ``_refuse_divergent_tail`` refuses it.
     """
     require_positive(b=b, c=c)
 
-    def closed(tag, g):
-        m = {"one": 1.0, "x": 2.0, "x2": 3.0}.get(tag)
-        if m is None:
-            raise KeyError(tag)
-        if _tail_diverges(c, m - 1.0, g):
-            raise ConstraintError(
-                f"Frechet closed form for weight {tag!r} needs gamma > {m / c:g}, "
-                f"got {g:g} (integral diverges)")
+    def closed(p, g):
+        m = p + 1.0
         return b ** (m / c) * _gamma(g - m / c) / (c * _gamma(g + 1.0))
 
     def cdf(x):
@@ -315,7 +307,9 @@ def _validate_model(model: DistributionModel):
 
 
 # ---------------------------------------------------------------------------
-# Proportional reversed hazard (PRH) model: K2 = K1^eta
+# Proportional reversed hazard (PRH) model: K2 = K1^eta. The transform
+# keeps the base's tail index, so each identity below passes the
+# divergence gate at its lowest order gamma before any quadrature.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -413,6 +407,7 @@ def prh_wfgcpe(base: DistributionModel, eta, psi: WeightFunction,
     ``E(g) - E(g + 1) - eta^{-1} Et(g + 1)``.
     """
     e = _as_eta(eta)
+    _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
     return term(gamma) - term(gamma + 1.0) - term(gamma + 1.0, True) / e
 
@@ -424,6 +419,7 @@ def prh_recurrence_step(base: DistributionModel, eta, psi: WeightFunction,
     ``E(g) - E(g + 2) - eta^{-1} [Et(g + 1) + Et(g + 2)] - prior``.
     """
     e = _as_eta(eta)
+    _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
     return (term(gamma) - term(gamma + 2.0)
             - (term(gamma + 1.0, True) + term(gamma + 2.0, True)) / e - prior)
@@ -442,6 +438,7 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
     if n == 1:
         return prh_recurrence_step(base, eta, psi, gamma, prior)
     e = _as_eta(eta)
+    _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
     sign = (-1.0) ** n
     return (term(gamma + n) - term(gamma + n + 1.0)

@@ -85,7 +85,9 @@ def spacing_summary(sample: EmpiricalSample,
 
 def empirical_cdf(sample: EmpiricalSample, x) -> float | np.ndarray:
     """Step function: 0 left of the minimum, ``l/n`` between order
-    statistics, 1 at and beyond the maximum."""
+    statistics, 1 at and beyond the maximum. ``x`` must not be NaN."""
+    if np.any(np.isnan(x)):
+        raise DomainError(f"empirical CDF undefined at NaN, got {x!r}")
     v = np.sort(sample.values) if not sample.ordered else sample.values
     r = np.searchsorted(v, np.asarray(x, dtype=float), side="right") / sample.n
     return float(r) if np.isscalar(x) else r

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .distributions import DistributionModel, _tail_diverges
-from .errors import (ConstraintError, DegenerateNormalizer, DomainError,
+from .distributions import DistributionModel, _refuse_divergent_tail
+from .errors import (DegenerateNormalizer, DomainError,
                      MonotonicityError, NonConvergence, UnboundedSupport,
                      require_nonnegative, require_positive)
 from .quadrature import (DEFAULT_ABS_TOL, Integrand, QuadratureResult,
@@ -65,43 +65,30 @@ def _log_kernel_integral(neg_log, weight, gamma: float, lo: float,
     return float(q.value / _gamma(gamma + 1.0)), q
 
 
-def _refuse_divergent_tail(model: DistributionModel, psi: WeightFunction,
-                           gamma: float, residual: bool = False):
-    """``ConstraintError``, before any quadrature, where ``_tail_diverges``
-    finds the right tail divergent (for the residual kernel: at 1)."""
-    a, p = model.tail_index, psi.growth
-    if _tail_diverges(a, p, 1.0 if residual else gamma):
-        raise ConstraintError(
-            f"{model.family} tail index {a:g} with weight {psi.tag!r} ~ "
-            f"x^{p:g}: integral diverges for gamma "
-            f"{'> 0' if residual else f'<= {(p + 1.0) / a:g}'}, got {gamma:g}")
-
-
 def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
            method: str = "auto") -> MeasureReport:
     """Weighted fractional cumulative past entropy of ``model``.
 
     ``method`` is ``"auto"`` (closed form when the family carries one for
-    this weight tag, else quadrature), ``"closed_form"`` or
-    ``"quadrature"``.
+    the exponent of a builtin exact-power weight, else quadrature),
+    ``"closed_form"`` or ``"quadrature"``. A divergent tail is refused
+    before either.
     """
     require_positive(gamma=gamma)
     if method not in ("auto", CLOSED_FORM, QUADRATURE):
         raise DomainError(f"unknown method {method!r}")
-
-    if method != QUADRATURE and model.closed_wfgcpe is not None:
-        try:
-            return MeasureReport(float(model.closed_wfgcpe(psi.tag, gamma)),
-                                 CLOSED_FORM)
-        except KeyError:
-            if method == CLOSED_FORM:
-                raise DomainError(
-                    f"no closed form for family {model.family!r}, "
-                    f"weight {psi.tag!r}") from None
-    elif method == CLOSED_FORM:
-        raise DomainError(f"family {model.family!r} has no closed forms")
-
     _refuse_divergent_tail(model, psi, gamma)
+
+    if method != QUADRATURE:
+        closed, p = None, psi.exact_power
+        if model.closed_wfgcpe is not None and p is not None:
+            closed = model.closed_wfgcpe(p, gamma)
+        if closed is not None:
+            return MeasureReport(float(closed), CLOSED_FORM)
+        if method == CLOSED_FORM:
+            raise DomainError(f"no closed form for family {model.family!r}, "
+                              f"weight {psi.tag!r}")
+
     value, q = _log_kernel_integral(model.neg_log_cdf, psi, gamma,
                                     *model.support)
     return MeasureReport(value, QUADRATURE, q)
@@ -271,7 +258,7 @@ def discrete_wfe(probabilities, weights=None, alpha: float = 1.0) -> float:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DomainError("probabilities must be a nonempty vector")
-    if np.any(p < 0):
+    if not np.all(p >= 0):  # NaN fails too
         raise DomainError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-12:
         raise DomainError(f"probabilities sum to {p.sum()!r}, not 1")
@@ -283,7 +270,7 @@ def discrete_wfe(probabilities, weights=None, alpha: float = 1.0) -> float:
         w = np.asarray(weights, dtype=float)
         if w.shape != p.shape:
             raise DomainError("weights and probabilities differ in length")
-        if np.any(w < 0):
-            raise DomainError("weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise DomainError("weights must be finite and nonnegative")
     mask = (p > 0) & (p < 1)
     return float(np.sum(w[mask] * p[mask] * (-np.log(p[mask])) ** alpha))

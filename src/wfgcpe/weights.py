@@ -25,6 +25,10 @@ DECREASING = "decreasing"
 CONSTANT = "constant"
 NEITHER = "neither"
 
+#: Tags of the builtin weights that are exactly ``x^growth``: the weights
+#: the families' closed forms and the xi^gamma power are written for.
+EXACT_POWER_TAGS = frozenset({"one", "sqrtx", "x", "x2"})
+
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` at every element of ``x``: one call when ``fn`` takes arrays
@@ -52,6 +56,11 @@ class WeightFunction:
 
     def __call__(self, x):
         return self.psi(x)
+
+    @property
+    def exact_power(self) -> Optional[float]:
+        """``p`` for a builtin weight exactly ``x^p``, else ``None``."""
+        return self.growth if self.tag in EXACT_POWER_TAGS else None
 
     def psi_prime(self, x: float) -> float:
         """Derivative of the weight; central difference if no closed form."""

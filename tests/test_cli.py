@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -329,6 +330,20 @@ def test_reproduce_tables_1_and_2(capsys):
         assert rows, table
         finite = [r for r in rows if r["value"] == r["value"]]
         assert all(r["value"] >= 0 for r in finite)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("table", ["1", "2", "3", "4"])
+def test_reproduce_json_matches_golden_file(capsys, table):
+    # any change to a value, a method string or the schema shows here
+    code, out, _ = run(capsys, "reproduce", "--table", table,
+                       "--format", "json")
+    assert code == 0
+    expected = (GOLDEN / f"reproduce_table{table}.json").read_text(
+        encoding="utf-8")
+    assert out == expected
 
 
 def test_bounds_verb(capsys):

@@ -1,4 +1,5 @@
-"""Import hygiene: no module of the package keeps an import it never uses.
+"""Import hygiene: no module of the package keeps an import it never uses,
+and importing the package and its CLI leaves ``scipy.stats`` unloaded.
 
 No linter is installed, so this walks each module's syntax tree: a name
 bound by a module-level ``import`` must appear as a name somewhere in the
@@ -7,6 +8,8 @@ module. ``__init__.py`` is skipped, since its imports are re-exports.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +32,13 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow and large to import, and only the CLT
+    # diagnostic reads it, so it is imported there, on first use
+    code = ("import sys, wfgcpe, wfgcpe.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

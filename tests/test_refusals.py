@@ -1,21 +1,23 @@
 """Typed refusals of out-of-domain parameters: a zero, negative, NaN or
-infinite parameter gives ``DomainError`` at every entry point, never a
-raw ``ZeroDivisionError``/``ValueError`` nor a NaN or infinite value."""
+infinite parameter (or a non-integer grid) gives ``DomainError`` at every
+entry point, never a raw ``ZeroDivisionError``/``ValueError``/``TypeError``
+nor a NaN, infinite or silently defaulted value."""
 
 import math
 
 import pytest
 
-from wfgcpe.analysis import prh_bound_check
+from wfgcpe.analysis import check_order, prh_bound_check
 from wfgcpe.distributions import (PrhParameter, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   prh_expectation_terms, prh_n_step,
                                   prh_recurrence_step, prh_transform,
                                   prh_wfgcpe)
-from wfgcpe.empirical import exact_moments_self_weight
+from wfgcpe.empirical import (as_sample, empirical_cdf,
+                              exact_moments_self_weight)
 from wfgcpe.errors import DomainError
-from wfgcpe.measures import affine_wfgcpe, rl_fractional_integral
+from wfgcpe.measures import affine_wfgcpe, discrete_wfe, rl_fractional_integral
 from wfgcpe.weights import power_weight, weight_x
 
 BASE = make_power(1.0, 2.0)
@@ -59,10 +61,24 @@ def _refusals():
     yield affine_wfgcpe, (BASE, PSI, 1.0, math.nan, 0.0)
     yield affine_wfgcpe, (BASE, PSI, 1.0, 1.0, math.inf)
     yield power_weight, (-1.0,)
+    # NaN and infinities slip past sign checks such as ``p < 0``
+    yield discrete_wfe, ([math.nan, 1.0],)
+    yield discrete_wfe, ([0.5, 0.5], [math.nan, 1.0])
+    yield discrete_wfe, ([0.5, 0.5], [math.inf, 1.0])
+    yield empirical_cdf, (as_sample([1.0, 2.0, 3.0]), math.nan)
+    yield check_order, (BASE, BASE, "st", math.nan)
+    yield check_order, (BASE, BASE, "st", 256.5)
+
+
+def _shown(a):
+    if isinstance(a, list):
+        return "[" + ", ".join(f"{v:g}" for v in a) + "]"
+    return f"{a:g}"
 
 
 def _case_id(fn, args):
-    shown = ", ".join(f"{a:g}" for a in args if isinstance(a, (int, float)))
+    shown = ", ".join(_shown(a) for a in args
+                      if isinstance(a, (int, float, list)))
     return f"{fn.__name__}({shown})"
 
 

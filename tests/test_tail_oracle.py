@@ -1,16 +1,18 @@
 """Quadrature in the right tail: an in-test mpmath oracle for the Weibull
 and exponential families and for the Frechet forms, typed refusals of
-divergent Frechet integrals before any quadrature, and the PRH
-decomposition against the transformed model."""
+divergent Frechet integrals before any quadrature (the PRH identities
+included), the PRH decomposition against the transformed model, and the
+closed forms by weight exponent against mpmath."""
 
 import math
 
 import mpmath as mp
 import pytest
 
-from wfgcpe import cli, measures
+from wfgcpe import cli, distributions, measures
 from wfgcpe.cli import EXIT_NONCONVERGENCE, EXIT_USAGE, main
 from wfgcpe.distributions import (make_exponential, make_frechet,
+                                  make_power, make_uniform_shifted,
                                   make_weibull_square, prh_n_step,
                                   prh_recurrence_step, prh_transform,
                                   prh_wfgcpe)
@@ -199,16 +201,21 @@ MEASURES = {
 GRID = [(m, w, g) for m in MEASURES for w in GROWTH for g in GAMMAS]
 
 
+def _forbid_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a refused cell called integrate")
+
+    for module in (measures, distributions):
+        monkeypatch.setattr(module, "integrate", no_quadrature)
+
+
 @pytest.mark.parametrize("measure,name,gamma", GRID)
 def test_frechet_grid(monkeypatch, measure, name, gamma):
     """Refused, without a quadrature call, exactly where gamma <= (p+1)/4;
     elsewhere equal to the mpmath value."""
     psi = _weight(name)
     if _diverges(name, gamma):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("a refused cell called integrate")
-
-        monkeypatch.setattr(measures, "integrate", no_quadrature)
+        _forbid_quadrature(monkeypatch)
         with pytest.raises(ConstraintError, match="diverges"):
             MEASURES[measure](psi, gamma)
         return
@@ -232,9 +239,11 @@ def test_prh_model_inherits_the_tail_index():
 
 
 def test_undeclared_weight_still_ends_in_nonconvergence(monkeypatch, capsys):
-    # psi = x without a declared growth: quadrature decides, as before
-    with pytest.raises(NonConvergence):
-        wfgcpe(FRECHET, custom_weight(lambda x: x), 0.5)
+    # psi = x without a declared growth: quadrature decides, as before,
+    # also under a builtin's tag
+    for tag in ("custom", "x"):
+        with pytest.raises(NonConvergence):
+            wfgcpe(FRECHET, custom_weight(lambda x: x, tag=tag), 0.5)
     monkeypatch.setitem(cli.BUILTIN_WEIGHTS, "sqrtx",
                         lambda: custom_weight(math.sqrt, tag="sqrtx"))
     code = main(["compute", "--dist", "frechet", "--b", "1", "--c", "4",
@@ -270,3 +279,136 @@ def test_prh_decomposition_matches_transformed_model(gamma):
                    - direct[n]) <= 1e-8 * direct[n]
     for k, value in got.items():
         assert abs(value - direct[k]) <= 1e-8 * direct[k]
+
+
+# ---------------------------------------------------------------------------
+# The PRH identities on the Frechet(1, 4) grid
+# ---------------------------------------------------------------------------
+
+PRH_IDENTITIES = {
+    # each maps (eta, psi, gamma, the order-gamma entropy) to the entropy
+    # at the order gamma + k it returns
+    "prh_wfgcpe": (0, lambda eta, psi, g, prior:
+                   prh_wfgcpe(FRECHET, eta, psi, g)),
+    "prh_recurrence_step": (1, lambda eta, psi, g, prior:
+                            prh_recurrence_step(FRECHET, eta, psi, g, prior)),
+    "prh_n_step": (2, lambda eta, psi, g, prior:
+                   prh_n_step(FRECHET, eta, psi, g, 2, prior)),
+}
+#: The one finite cell where the quantile-space PRH integrals give up
+#: although the transformed model's entropy is finite (2.5931979096).
+PRH_NONCONVERGENT = (1.7, "sqrtx", 0.5)
+
+
+def _prh_cell(identity, eta, name, gamma):
+    marks = []
+    if (eta, name, gamma) == PRH_NONCONVERGENT:
+        marks = pytest.mark.xfail(raises=NonConvergence, strict=True,
+                                  reason="E(gamma) integrand singular at u=1")
+    return pytest.param(identity, eta, name, gamma, marks=marks)
+
+
+PRH_GRID = [_prh_cell(i, eta, w, g) for i in PRH_IDENTITIES
+            for eta in (0.5, 1.7, 3.0) for w in ("one", "x", "x2", "sqrtx")
+            for g in (0.25, 0.5)]
+
+
+@pytest.mark.parametrize("identity,eta,name,gamma", PRH_GRID)
+def test_prh_identities_on_the_frechet_grid(monkeypatch, identity, eta,
+                                            name, gamma):
+    """Refused, without a quadrature call, wherever the transformed
+    model's entropy is (18 of the 24 cells); elsewhere equal to it."""
+    psi = BUILTIN_WEIGHTS[name]()
+    model = prh_transform(FRECHET, eta)
+    k, run_identity = PRH_IDENTITIES[identity]
+    if _diverges(name, gamma):
+        with pytest.raises(ConstraintError):
+            wfgcpe(model, psi, gamma)
+        _forbid_quadrature(monkeypatch)
+        with pytest.raises(ConstraintError, match="diverges"):
+            run_identity(eta, psi, gamma, 0.1)
+        return
+    prior, expected = (wfgcpe(model, psi, gamma + j).value for j in (0, k))
+    got = run_identity(eta, psi, gamma, prior)
+    assert abs(got - expected) <= 1e-7 * expected
+
+
+# ---------------------------------------------------------------------------
+# Closed forms by weight exponent against mpmath
+# ---------------------------------------------------------------------------
+
+def _mp_power(b, c, name, gamma):
+    psi = MP_WEIGHTS[name]
+
+    def f(x):
+        nl = -c * mp.log(x / b)
+        return psi(x) * mp.exp(-nl) * nl ** gamma
+
+    with mp.workdps(20):
+        return float(mp.quad(f, [0, b]) / mp.gamma(gamma + 1))
+
+
+def _mp_frechet_cpe(b, c, name, gamma):
+    psi = MP_WEIGHTS[name]
+
+    def f(x):
+        nl = b * x ** -c
+        return psi(x) * mp.exp(-nl) * nl ** gamma
+
+    with mp.workdps(20):
+        return float(mp.quad(f, [0, 1, 4, mp.inf]) / mp.gamma(gamma + 1))
+
+
+def _mp_uniform(a, name, gamma):
+    psi = MP_WEIGHTS[name]
+
+    def f(t):  # t = x - a = K(x)
+        return psi(a + t) * t * (-mp.log(t)) ** gamma
+
+    with mp.workdps(20):
+        return float(mp.quad(f, [0, 1]) / mp.gamma(gamma + 1))
+
+
+CLOSED_CELLS = (
+    [(make_power, (b, c), w, g, _mp_power)
+     for b, c in ((1.3, 2.2), (2.0, 0.7)) for w in ("one", "sqrtx")
+     for g in (0.25, 1.0, 2.75)]
+    + [(make_frechet, (1.3, 2.2), "sqrtx", g, _mp_frechet_cpe)
+       for g in (1.0, 2.75)]
+    + [(make_frechet, (0.7, 5.0), "sqrtx", g, _mp_frechet_cpe)
+       for g in (0.5, 1.0, 2.75)]
+    + [(make_uniform_shifted, (a,), w, g, _mp_uniform)
+       for a in (0.0, 0.7, 3.0) for w in ("one", "x", "x2")
+       for g in (0.25, 1.0, 2.75)]
+)
+
+
+@pytest.mark.parametrize("family,params,name,gamma,oracle", CLOSED_CELLS)
+def test_closed_form_matches_mpmath(family, params, name, gamma, oracle):
+    report = wfgcpe(family(*params), BUILTIN_WEIGHTS[name](), gamma)
+    expected = oracle(*params, name, gamma)
+    assert report.method == "closed_form"
+    assert abs(report.value - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("c", [2.2, 5.0])
+@pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature"])
+def test_sqrtx_frechet_refused_at_and_below_the_bound(monkeypatch, c,
+                                                      method):
+    # sqrt(x) ~ x^0.5: the bound is (0.5 + 1) / c
+    model = make_frechet(1.3, c)
+    _forbid_quadrature(monkeypatch)
+    for gamma in (1.5 / c, 0.9 * 1.5 / c):
+        with pytest.raises(ConstraintError, match="diverges"):
+            wfgcpe(model, BUILTIN_WEIGHTS["sqrtx"](), gamma, method=method)
+    assert wfgcpe(model, BUILTIN_WEIGHTS["sqrtx"](), 1.01 * 1.5 / c,
+                  method="closed_form").value > 0.0
+
+
+def test_builtin_tag_without_growth_takes_quadrature():
+    model = make_power(1.3, 2.2)
+    report = wfgcpe(model, custom_weight(lambda x: x, tag="x"), 0.5)
+    assert report.method == "quadrature"
+    closed = wfgcpe(model, BUILTIN_WEIGHTS["x"](), 0.5)
+    assert closed.method == "closed_form"
+    assert abs(report.value - closed.value) <= 1e-9 * closed.value
