@@ -381,7 +381,7 @@ def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
         lam1 = base.pdf(x) / base.cdf(x)
         return x * dp * (-math.log(u)) ** (gamma - 1.0) / lam1
 
-    return integrate(Integrand(f, 0.0, 1.0)).value / _gamma(gamma)
+    return float(integrate(Integrand(f, 0.0, 1.0)).value / _gamma(gamma))
 
 
 def prh_expectation_terms(base: DistributionModel, eta,
@@ -421,8 +421,9 @@ def prh_recurrence_step(base: DistributionModel, eta, psi: WeightFunction,
     e = _as_eta(eta)
     _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
-    return (term(gamma) - term(gamma + 2.0)
-            - (term(gamma + 1.0, True) + term(gamma + 2.0, True)) / e - prior)
+    return float(term(gamma) - term(gamma + 2.0)
+                 - (term(gamma + 1.0, True) + term(gamma + 2.0, True)) / e
+                 - prior)
 
 
 def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
@@ -441,11 +442,11 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
     _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
     sign = (-1.0) ** n
-    return (term(gamma + n) - term(gamma + n + 1.0)
-            - sign * (term(gamma) - term(gamma + 1.0))
-            + (sign * term(gamma + 1.0, True)
-               - term(gamma + n + 1.0, True)) / e
-            + sign * prior)
+    return float(term(gamma + n) - term(gamma + n + 1.0)
+                 - sign * (term(gamma) - term(gamma + 1.0))
+                 + (sign * term(gamma + 1.0, True)
+                    - term(gamma + n + 1.0, True)) / e
+                 + sign * prior)
 
 
 def mean_inactivity_time(model: DistributionModel, t: float) -> float:

@@ -30,17 +30,22 @@ NEITHER = "neither"
 EXACT_POWER_TAGS = frozenset({"one", "sqrtx", "x", "x2"})
 
 
+def _array_call(fn, x: np.ndarray) -> Optional[np.ndarray]:
+    """``fn(x)`` when ``fn`` takes arrays and keeps their shape, else
+    ``None`` (a user callable written for floats)."""
+    try:
+        y = fn(x)
+    except (TypeError, ValueError):
+        return None
+    return y if isinstance(y, np.ndarray) and y.shape == x.shape else None
+
+
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` at every element of ``x``: one call when ``fn`` takes arrays
     (the builtin models' ``cdf``/``quantile`` and weights' ``Psi``), else
     an elementwise map for user callables written for floats."""
-    try:
-        y = fn(x)
-    except (TypeError, ValueError):
-        y = None
-    if isinstance(y, np.ndarray) and y.shape == x.shape:
-        return y
-    return np.vectorize(fn, otypes=[float])(x)
+    y = _array_call(fn, x)
+    return np.vectorize(fn, otypes=[float])(x) if y is None else y
 
 
 @dataclass(frozen=True)

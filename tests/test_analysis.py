@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -335,6 +338,131 @@ def test_simulate_chunking_is_invisible(monkeypatch):
                                    rtol=1e-14, atol=0.0)
 
 
+def _threaded_config(**kw):
+    # 131 rows of n = 500 per chunk: six chunks of 700 replicates
+    base = dict(replicates=700, n=500, population=make_weibull_square(1.0))
+    return _config(**{**base, **kw})
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every pool ``simulate_estimator`` builds."""
+    built = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            built.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", Counted)
+    return built
+
+
+@pytest.mark.parametrize("gammas", (None, (0.5, 1.5)))
+def test_simulate_values_do_not_depend_on_worker_count(monkeypatch, pools,
+                                                       gammas):
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(analysis, "_WORKERS", workers)
+        got = simulate_estimator(_threaded_config(), gammas)
+        runs.append(got if gammas else {0.5: got})
+    assert pools == [1, 2]
+    for got in runs[1:]:
+        for g, summary in got.items():
+            assert np.array_equal(summary.values, runs[0][g].values)
+            assert summary.mean == runs[0][g].mean
+            assert summary.variance == runs[0][g].variance
+
+
+def test_simulate_threads_stress(monkeypatch):
+    # more threads than cores, one-row chunks and a short switch interval:
+    # a chunk start claimed twice or never changes or leaves a row unset
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 500)
+    monkeypatch.setattr(analysis, "_WORKERS", 1)
+    serial = simulate_estimator(_threaded_config(replicates=60))
+    monkeypatch.setattr(analysis, "_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_estimator(_threaded_config(replicates=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded.values, serial.values)
+
+
+@pytest.mark.parametrize("workers, kw, expected", [
+    (1, {}, []),                         # six chunks, one CPU
+    (2, dict(replicates=131), []),       # one chunk, two CPUs
+    (2, dict(replicates=132), [1]),      # two chunks, two CPUs
+    (8, {}, [5]),                        # no more threads than chunks
+])
+def test_pool_only_for_several_chunks_and_cpus(monkeypatch, pools, workers,
+                                               kw, expected):
+    monkeypatch.setattr(analysis, "_WORKERS", workers)
+    simulate_estimator(_threaded_config(**kw))
+    assert pools == expected
+
+
+@pytest.mark.parametrize("raises_on", ("calling", "helper"))
+def test_no_thread_outlives_a_failing_call(monkeypatch, raises_on):
+    model = make_weibull_square(1.0)
+
+    def quantile(u):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if u.size > 2 and on_caller == (raises_on == "calling"):
+            raise DomainError(f"chunk failed on the {raises_on} thread")
+        return model.quantile(u)
+
+    monkeypatch.setattr(analysis, "_WORKERS", 3)
+    before = threading.active_count()
+    simulate_estimator(_threaded_config())
+    assert threading.active_count() == before
+    failing = _threaded_config(population=dataclasses.replace(
+        model, quantile=quantile))
+    with pytest.raises(DomainError, match=f"on the {raises_on} thread"):
+        simulate_estimator(failing)
+    assert threading.active_count() == before
+
+
+def test_a_failing_chunk_stops_the_other_threads(monkeypatch):
+    # 60 one-row chunks: the helper may finish the chunk it holds when the
+    # calling thread fails, but claims no new one after that
+    model = make_weibull_square(1.0)
+    failed = threading.Event()
+    helper_rows = []
+
+    def quantile(u):
+        if u.size > 2:
+            if threading.current_thread() is threading.main_thread():
+                failed.set()
+                raise DomainError("chunk failed")
+            assert failed.wait(timeout=30)
+            helper_rows.append(len(u))
+        return model.quantile(u)
+
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 500)
+    monkeypatch.setattr(analysis, "_WORKERS", 2)
+    failing = _threaded_config(replicates=60, population=dataclasses.replace(
+        model, quantile=quantile))
+    with pytest.raises(DomainError, match="chunk failed"):
+        simulate_estimator(failing)
+    assert len(helper_rows) < 10
+
+
+@pytest.mark.parametrize("kw", [
+    dict(population=SQUARE_FLOAT_ONLY),
+    dict(weight=custom_weight(lambda x: x)),  # Psi by quadrature
+], ids=("make_custom", "custom_weight"))
+def test_float_only_callables_stay_on_the_calling_thread(monkeypatch, pools,
+                                                         kw):
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 10)  # 2 rows of n=5
+    serial = simulate_estimator(_config(replicates=40, n=5, **kw))
+    monkeypatch.setattr(analysis, "_WORKERS", 4)
+    threaded = simulate_estimator(_config(replicates=40, n=5, **kw))
+    assert pools == []
+    assert np.array_equal(threaded.values, serial.values)
+
+
 ARRAY_FAMILIES = [
     make_power(2.0, 3.0), make_uniform_shifted(0.5), make_frechet(1.0, 4.0),
     make_weibull_square(1.5), make_exponential(2.0),
@@ -387,10 +515,7 @@ def test_weight_array_big_psi_matches_scalar(weight):
 
 def test_simulate_scalar_only_custom_model_and_weights():
     # math-only callables reject arrays and go through the elementwise map
-    square = make_custom(cdf=lambda x: min(max(x, 0.0), 1.0) ** 2,
-                         pdf=lambda x: 2.0 * x if 0.0 < x < 1.0 else 0.0,
-                         quantile=lambda u: math.sqrt(u),
-                         support=(0.0, 1.0))
+    square = SQUARE_FLOAT_ONLY
     with pytest.raises(TypeError):
         square.quantile(np.array([0.25, 0.5]))
     reference = simulate_estimator(_config(replicates=40, n=5))

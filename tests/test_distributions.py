@@ -222,6 +222,18 @@ def test_prh_n_step_matches_chained(n):
     assert abs(direct - truth) <= 1e-6
 
 
+def test_prh_identities_return_plain_floats():
+    base = make_power(1.0, 2.0)
+    prior = np.float64(prh_wfgcpe(base, 2.0, weight_x(), 0.5))
+    terms = prh_expectation_terms(base, 2.0, weight_x(), 0.5)
+    for value in (prh_wfgcpe(base, 2.0, weight_x(), 0.5),
+                  prh_recurrence_step(base, 2.0, weight_x(), 0.5, prior),
+                  prh_n_step(base, 2.0, weight_x(), 0.5, 2, prior),
+                  prh_n_step(base, 2.0, weight_x(), 0.5, np.int64(3), prior),
+                  terms.e_term, terms.e_tilde_term):
+        assert type(value) is float
+
+
 def test_prh_n_step_validation():
     base = make_uniform_shifted(0.0)
     with pytest.raises(DomainError):

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from wfgcpe.analysis import check_order, prh_bound_check
+from wfgcpe.analysis import (SimulationConfig, check_order, prh_bound_check,
+                             simulate_estimator)
 from wfgcpe.distributions import (PrhParameter, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
@@ -22,6 +23,7 @@ from wfgcpe.weights import power_weight, weight_x
 
 BASE = make_power(1.0, 2.0)
 PSI = weight_x()
+SIM = SimulationConfig(20, 5, 1, BASE, PSI, 0.5)
 NON_FINITE = (math.nan, math.inf)
 
 PRH_ENTRY_POINTS = {
@@ -68,6 +70,10 @@ def _refusals():
     yield empirical_cdf, (as_sample([1.0, 2.0, 3.0]), math.nan)
     yield check_order, (BASE, BASE, "st", math.nan)
     yield check_order, (BASE, BASE, "st", 256.5)
+    # every order of ``gammas`` is checked, and at least one is required
+    for gammas in ([math.nan], [math.inf], [-1.0], [0.0], [0.5, math.nan],
+                   []):
+        yield simulate_estimator, (SIM, gammas)
 
 
 def _shown(a):
