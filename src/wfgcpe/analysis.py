@@ -185,7 +185,7 @@ def is_dfr(model: DistributionModel, grid: int = 512) -> bool:
     """Decreasing failure rate, via log-convexity of the survival function
     (nonnegative second differences of ``ln Kbar`` on a probe grid)."""
     xs = np.linspace(*_finite_probe_interval(model), grid)
-    logs = np.array([-model.neg_log_survival(x) for x in xs])
+    logs = np.array([model.log_survival(x) for x in xs])
     logs = logs[np.isfinite(logs)]
     if logs.size < 3:
         return False
@@ -223,14 +223,14 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
     lo, hi = _finite_probe_interval(m1, m2)
 
     # E[tau1(X2)] collapses by Fubini to a single integral against K2.
-    e_tau_x2 = _log_kernel_integral(m1.neg_log_cdf,
-                                    lambda x: psi(x) * m2.cdf(x),
-                                    gamma, lo, hi, damped=False)[0]
+    lc, p, k1, k2 = m1.log_cdf, psi.psi, m1.cdf, m2.cdf
+    e_tau_x2 = _log_kernel_integral(lc, lambda x: p(x) * k2(x), gamma, lo,
+                                    hi, damped=False)[0]
 
     # E[tau1'(V)] with k_V = (K1 - K2) / (E X2 - E X1); tau1' <= 0.
     e_tau_prime_v = -_log_kernel_integral(
-        m1.neg_log_cdf, lambda x: psi(x) * (m1.cdf(x) - m2.cdf(x)),
-        gamma, lo, hi, damped=False)[0] / (mu2 - mu1)
+        lc, lambda x: p(x) * (k1(x) - k2(x)), gamma, lo, hi,
+        damped=False)[0] / (mu2 - mu1)
 
     lhs = wfgcpe(m1, psi, gamma).value
     rhs = e_tau_x2 + e_tau_prime_v * (mu1 - mu2)
@@ -262,13 +262,14 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     lo, hi = model.support
     finite = math.isfinite(hi)
     g1 = _gamma(gamma + 1.0)
+    lc, p, q, pdf = model.log_cdf, psi.psi, model.quantile, model.pdf
 
     # (a) -ln K >= 1 - K; 1 - K computed as -expm1(ln K) to keep the tail
     def f_a(x):
-        nl = model.neg_log_cdf(x)
-        if nl <= 0.0 or math.isinf(nl):
+        lk = lc(x)
+        if lk >= 0.0 or lk == -math.inf:
             return 0.0
-        return psi(x) * math.exp(-nl) * (-math.expm1(-nl)) ** gamma
+        return p(x) * math.exp(lk) * (-math.expm1(lk)) ** gamma
 
     rhs_a = integrate(Integrand(f_a, lo, hi)).value / g1
     reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
@@ -276,11 +277,11 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
 
     # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}
     def f_lnD(u):
-        x = model.quantile(u)
-        return math.log(psi(x) * u) + gamma * math.log(-math.log(u))
+        x = q(u)
+        return math.log(p(x) * u) + gamma * math.log(-math.log(u))
 
     def f_H(u):
-        return -math.log(model.pdf(model.quantile(u)))
+        return -math.log(pdf(q(u)))
 
     try:
         ln_d = integrate(Integrand(f_lnD, 0.0, 1.0)).value

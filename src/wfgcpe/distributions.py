@@ -35,6 +35,10 @@ class DistributionModel:
     the numpy path, so floats pay nothing for the dispatch. User
     callables may take floats only.
 
+    Every model carries ``log_cdf`` and ``log_survival`` (``ln K`` and
+    ``ln(1 - K)``): as declared by the family, or else derived from this
+    model's ``cdf``, also after ``dataclasses.replace`` swaps the ``cdf``.
+
     ``closed_wfgcpe(p, gamma)`` returns the closed-form entropy for the
     weight ``x^p``, or ``None`` where the family has none for that
     exponent; it is called only after ``_refuse_divergent_tail``, which
@@ -53,31 +57,23 @@ class DistributionModel:
     log_survival: Optional[Callable[[float], float]] = None
     tail_index: Optional[float] = None
 
+    def __post_init__(self):
+        for name, complement in (("log_cdf", False), ("log_survival", True)):
+            log = getattr(self, name)
+            if log is None or getattr(log, "func", None) is _log_of_cdf:
+                object.__setattr__(
+                    self, name, partial(_log_of_cdf, self.cdf, complement))
+
     def survival(self, x: float) -> float:
         return 1.0 - self.cdf(x)
 
     def neg_log_cdf(self, x: float) -> float:
-        """``-ln K(x)``, exact where the family supplies ``log_cdf``.
-
-        Without it, ``K`` values that round to 1 collapse the result to 0,
-        which truncates slowly-decaying tails (e.g. heavy-tailed families);
-        the analytic ``log_cdf`` keeps the tail mass.
-        """
-        if self.log_cdf is not None:
-            return -self.log_cdf(x)
-        k = self.cdf(x)
-        if k <= 0.0:
-            return math.inf
-        return -math.log(k)
+        """``-ln K(x)``."""
+        return -self.log_cdf(x)
 
     def neg_log_survival(self, x: float) -> float:
-        """``-ln (1 - K(x))``; exact where ``log_survival`` is supplied."""
-        if self.log_survival is not None:
-            return -self.log_survival(x)
-        s = self.survival(x)
-        if s <= 0.0:
-            return math.inf
-        return -math.log(s)
+        """``-ln (1 - K(x))``."""
+        return -self.log_survival(x)
 
     def reversed_hazard(self, x: float) -> float:
         k = self.cdf(x)
@@ -87,11 +83,20 @@ class DistributionModel:
 
     def expectation(self, g: Callable[[float], float]) -> float:
         """E[g(X)] through the quantile transform on (0, 1)."""
-        return integrate(Integrand(lambda u: g(self.quantile(u)), 0.0,
-                                   1.0)).value
+        q = self.quantile
+        return integrate(Integrand(lambda u: g(q(u)), 0.0, 1.0)).value
 
     def mean(self) -> float:
         return self.expectation(lambda x: x)
+
+
+def _log_of_cdf(cdf, complement: bool, x: float) -> float:
+    """``ln K(x)`` (``ln(1 - K(x))`` with ``complement``) from ``cdf``,
+    ``-inf`` where the value is 0. Where ``K`` rounds to 1, ``ln K`` is 0,
+    which truncates slowly decaying tails; a declared exact log keeps them.
+    """
+    k = 1.0 - cdf(x) if complement else cdf(x)
+    return -math.inf if k <= 0.0 else math.log(k)
 
 
 def _log1m_exp(t: float) -> float:
@@ -356,7 +361,7 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
         quantile=lambda u: base.quantile(u ** (1.0 / e)),
         support=base.support,
         family="prh", params={"eta": e, "base": base.family, **base.params},
-        log_cdf=lambda x: -e * base.neg_log_cdf(x),
+        log_cdf=lambda x, lc=base.log_cdf: e * lc(x),
         tail_index=base.tail_index,  # -ln K1^eta = eta (-ln K1)
     )
 
@@ -368,18 +373,20 @@ def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
     if tilde and psi.derivative is not None and psi.monotonicity == "constant":
         return 0.0
 
+    q, pdf, cdf = base.quantile, base.pdf, base.cdf
+    p, inv_e, g1 = psi.psi_prime if tilde else psi.psi, 1.0 / e, gamma - 1.0
+
     def f(u):
-        v = u ** (1.0 / e)
+        v = u ** inv_e
         if not 0.0 < v < 1.0:  # u rounds onto an endpoint: no mass there
             return 0.0
-        x = base.quantile(v)
+        x = q(v)
         if not tilde:
-            return x * psi(x) * (-math.log(u)) ** (gamma - 1.0)
-        dp = psi.psi_prime(x)
+            return x * p(x) * (-math.log(u)) ** g1
+        dp = p(x)
         if dp == 0.0:
             return 0.0
-        lam1 = base.pdf(x) / base.cdf(x)
-        return x * dp * (-math.log(u)) ** (gamma - 1.0) / lam1
+        return x * dp * (-math.log(u)) ** g1 / (pdf(x) / cdf(x))
 
     return float(integrate(Integrand(f, 0.0, 1.0)).value / _gamma(gamma))
 

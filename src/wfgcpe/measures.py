@@ -37,25 +37,32 @@ class MeasureReport:
     quadrature: Optional[QuadratureResult] = None
 
 
-def _log_kernel_integral(neg_log, weight, gamma: float, lo: float,
-                         hi: float, damped: bool = True,
+def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
+                         damped: bool = True,
                          ) -> tuple[float, QuadratureResult]:
-    """``(1/Gamma(gamma+1)) int_lo^hi weight(x) e^{-nl} nl^gamma dx``, and
-    the quadrature result behind it; ``damped=False`` drops ``e^{-nl}``.
+    """``(1/Gamma(gamma+1)) int_lo^hi psi(x) e^{-nl} nl^gamma dx`` with
+    ``nl = -log_k(x)``, and the quadrature result behind it;
+    ``damped=False`` drops ``e^{-nl}``.
 
-    ``nl = neg_log(x)`` is an exact ``-ln`` of a CDF or survival function,
-    so tails where that function rounds to 1 keep their mass; ``0 ln 0 = 0``
-    where ``nl`` is 0 or infinite. The integrand is nonnegative, so a value
-    below ``-DEFAULT_ABS_TOL`` means a divergent integral whose error
-    estimate passed: ``NonConvergence``.
+    ``log_k`` is a model's exact ``log_cdf`` or ``log_survival``, so tails
+    where ``K`` rounds to 1 keep their mass, and ``psi`` a float weight;
+    a node runs one closure over them. ``0 ln 0 = 0`` where ``log_k`` is 0
+    or infinite. The integrand is nonnegative, so a value below
+    ``-DEFAULT_ABS_TOL`` means a divergent integral whose error estimate
+    passed: ``NonConvergence``.
     """
-
-    def f(x):
-        nl = neg_log(x)
-        if nl <= 0.0 or math.isinf(nl):
-            return 0.0
-        w = weight(x) * math.exp(-nl) if damped else weight(x)
-        return w * nl ** gamma
+    if damped:
+        def f(x):
+            lk = log_k(x)
+            if lk >= 0.0 or lk == -math.inf:
+                return 0.0
+            return psi(x) * math.exp(lk) * (-lk) ** gamma
+    else:
+        def f(x):
+            lk = log_k(x)
+            if lk >= 0.0 or lk == -math.inf:
+                return 0.0
+            return psi(x) * (-lk) ** gamma
 
     q = integrate(Integrand(f, lo, hi))
     if q.value < -DEFAULT_ABS_TOL:
@@ -89,7 +96,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
             raise DomainError(f"no closed form for family {model.family!r}, "
                               f"weight {psi.tag!r}")
 
-    value, q = _log_kernel_integral(model.neg_log_cdf, psi, gamma,
+    value, q = _log_kernel_integral(model.log_cdf, psi.psi, gamma,
                                     *model.support)
     return MeasureReport(value, QUADRATURE, q)
 
@@ -136,9 +143,10 @@ def dynamic_wfgcpe(model: DistributionModel, psi: WeightFunction,
     if math.isinf(nlt):
         raise DomainError(f"K(t)=0 at t={t}")
 
-    # -ln(K(x)/K(t)) from the exact log-CDF difference
-    return _log_kernel_integral(lambda x: model.neg_log_cdf(x) - nlt, psi,
-                                gamma, lo, t)[0]
+    # ln(K(x)/K(t)) from the exact log-CDF difference
+    lc = model.log_cdf
+    return _log_kernel_integral(lambda x: lc(x) + nlt, psi.psi, gamma, lo,
+                                t)[0]
 
 
 def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
@@ -152,7 +160,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
     if u >= hi:
         return 0.0
     _refuse_divergent_tail(model, psi, gamma)
-    return _log_kernel_integral(model.neg_log_cdf, psi, gamma, max(u, lo),
+    return _log_kernel_integral(model.log_cdf, psi.psi, gamma, max(u, lo),
                                 hi, damped=False)[0]
 
 
@@ -161,7 +169,7 @@ def wfgcre(model: DistributionModel, psi: WeightFunction,
     """Residual counterpart: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
     require_positive(gamma=gamma)
     _refuse_divergent_tail(model, psi, gamma, residual=True)
-    return _log_kernel_integral(model.neg_log_survival, psi, gamma,
+    return _log_kernel_integral(model.log_survival, psi.psi, gamma,
                                 *model.support)[0]
 
 
@@ -175,9 +183,9 @@ def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
     require_positive(gamma=gamma, a=a)
     require_nonnegative(b=b)
     _refuse_divergent_tail(model, psi, gamma)
-    return a * _log_kernel_integral(model.neg_log_cdf,
-                                    lambda x: psi(a * x + b), gamma,
-                                    *model.support)[0]
+    p = psi.psi
+    return a * _log_kernel_integral(model.log_cdf, lambda x: p(a * x + b),
+                                    gamma, *model.support)[0]
 
 
 def rl_fractional_integral(f: Callable[[float], float],
@@ -238,8 +246,7 @@ def wfgcpe_via_fractional_bridge(model: DistributionModel,
             return 0.0
         return psi(x) * k * k / d
 
-    def h(x):
-        return -model.neg_log_cdf(x)
+    h = model.log_cdf
 
     def h_prime(x):
         k = model.cdf(x)

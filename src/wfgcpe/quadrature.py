@@ -6,17 +6,19 @@ bracket, and adds the endpoint treatment this problem domain needs:
 
 * integrands of the form ``u (-ln u)^gamma`` have an algebraic-log
   singularity wherever the CDF approaches 0 or 1; QUADPACK's epsilon
-  extrapolation resolves these, and the evaluator is NaN-guarded so that
-  underflow at the endpoints yields the continuous-limit value 0;
+  extrapolation resolves these, and one guard per node maps a non-finite
+  value (endpoint underflow, or an overflowing Jacobian) to the
+  continuous-limit value 0;
 * right-infinite domains are mapped to (0, 1) through a declared, explicit
   variable transform rather than QUADPACK's internal one, so that two
   different transforms can be cross-checked against each other.
+
+Under ``full_output`` scipy returns QUADPACK's message and does not warn.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,23 +56,8 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     subdivisions: int
-
-
-def _guarded(f):
-    """Wrap an evaluator so non-finite results collapse to 0.
-
-    The integrands of this package vanish in the limit at their singular
-    endpoints, but naive evaluation produces ``0 * inf`` NaNs there once
-    the CDF under- or overflows.
-    """
-
-    def g(x):
-        y = f(x)
-        if math.isfinite(y):
-            return y
-        return 0.0
-
-    return g
+    #: Integrand evaluations, QUADPACK's ``neval``.
+    evaluations: int
 
 
 def integrate(
@@ -95,35 +82,32 @@ def integrate(
     """
     require_positive(abs_tol=abs_tol, rel_tol=rel_tol)
 
-    ev = _guarded(f.eval)
+    ev = f.eval
     if math.isinf(f.hi):
         lo = f.lo
         if tail_transform == "inverse":
             # x = lo + (1 - t)/t, dx = dt / t^2
             def g(t):
-                return ev(lo + (1.0 - t) / t) / (t * t)
+                y = ev(lo + (1.0 - t) / t) / (t * t)
+                return y if math.isfinite(y) else 0.0
         elif tail_transform == "exp":
             # x = lo - ln(1 - t), dx = dt / (1 - t)
             def g(t):
-                return ev(lo - math.log1p(-t)) / (1.0 - t)
+                y = ev(lo - math.log1p(-t)) / (1.0 - t)
+                return y if math.isfinite(y) else 0.0
         else:
             raise DomainError(f"unknown tail transform {tail_transform!r}")
         a, b = 0.0, 1.0
-        g = _guarded(g)
     else:
-        g = ev
+        def g(x):
+            y = ev(x)
+            return y if math.isfinite(y) else 0.0
         a, b = f.lo, f.hi
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        out = scipy.integrate.quad(
-            g, a, b,
-            epsabs=abs_tol, epsrel=rel_tol,
-            limit=MAX_SUBDIVISIONS, full_output=True,
-        )
-    value, abs_err = out[0], out[1]
-    info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
-    subdivisions = int(info.get("last", 0))
+    out = scipy.integrate.quad(g, a, b, epsabs=abs_tol, epsrel=rel_tol,
+                               limit=MAX_SUBDIVISIONS, full_output=True)
+    value, abs_err, info = out[:3]
+    subdivisions = int(info["last"])
 
     tol = max(abs_tol, rel_tol * abs(value))
     if not (math.isfinite(value) and 0.0 <= abs_err <= tol):
@@ -133,5 +117,5 @@ def integrate(
             f"after {subdivisions} subdivisions",
             value=value, abs_error=abs_err,
         )
-    return QuadratureResult(value, abs_err, subdivisions)
+    return QuadratureResult(value, abs_err, subdivisions, int(info["neval"]))
 

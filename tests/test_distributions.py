@@ -1,12 +1,14 @@
 """Tests for distribution families and the proportional-reversed-hazard
 decomposition."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wfgcpe.distributions import (PrhParameter, make_custom, make_exponential,
+from wfgcpe.distributions import (DistributionModel, PrhParameter,
+                                  make_custom, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   mean_inactivity_time, prh_expectation_terms,
@@ -261,3 +263,53 @@ def test_weibull_and_exponential_models():
     assert abs(e.cdf(e.quantile(0.8)) - 0.8) < 1e-12
     with pytest.raises(DomainError):
         make_weibull_square(0.0)
+
+
+def _square_model():
+    # K = x^2 on (0, 1), with no declared logs
+    return make_custom(lambda x: min(max(x, 0.0), 1.0) ** 2,
+                       lambda x: 2.0 * x if 0.0 < x < 1.0 else 0.0,
+                       lambda u: math.sqrt(u), (0.0, 1.0))
+
+
+FALLBACK_XS = (-1.0, 0.0, 1e-200, 1e-5, 0.3, 0.5, 0.999, 1.0, 2.0)
+
+
+def _neg_log(k):
+    return math.inf if k == 0.0 else -math.log(k)
+
+
+def test_fallback_logs_follow_the_cdf():
+    m = _square_model()
+    for x in FALLBACK_XS:
+        k = m.cdf(x)
+        assert m.neg_log_cdf(x) == _neg_log(k), x
+        assert m.neg_log_survival(x) == _neg_log(1.0 - k), x
+        assert m.log_cdf(x) == -_neg_log(k), x
+        assert m.log_survival(x) == -_neg_log(1.0 - k), x
+
+
+def test_declared_log_is_kept_as_given():
+    def log_cdf(x):
+        return 2.0 * math.log(x) if 0.0 < x < 1.0 else -math.inf
+
+    base = _square_model()
+    m = DistributionModel(base.cdf, base.pdf, base.quantile, base.support,
+                          log_cdf=log_cdf)
+    assert m.log_cdf is log_cdf
+    assert m.log_survival(0.5) == math.log(0.75)  # derived from the cdf
+    frechet = make_frechet(1.0, 4.0)
+    moved = dataclasses.replace(frechet, cdf=lambda x: 0.5)
+    assert moved.log_cdf is frechet.log_cdf
+    assert moved.log_survival is frechet.log_survival
+
+
+def test_replace_cdf_derives_the_logs_again():
+    m = _square_model()
+    cube = dataclasses.replace(m, cdf=lambda x: min(max(x, 0.0), 1.0) ** 3)
+    for x in FALLBACK_XS:
+        k = cube.cdf(x)
+        assert cube.neg_log_cdf(x) == _neg_log(k), x
+        assert cube.neg_log_survival(x) == _neg_log(1.0 - k), x
+    # no stale log closes over the old cdf
+    assert cube.log_cdf(0.5) == math.log(0.125) != m.log_cdf(0.5)

@@ -1,11 +1,15 @@
 """Tests for the adaptive quadrature engine."""
 
+import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import wfgcpe
 from wfgcpe.errors import DomainError, NonConvergence
 from wfgcpe.quadrature import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
                                integrate)
@@ -107,3 +111,60 @@ def test_bad_tolerances_and_transform():
         integrate(Integrand(lambda x: math.exp(-x), 0.0, math.inf),
                   tail_transform="nope")
 
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("y", NON_FINITE)
+def test_non_finite_node_counts_as_zero_on_finite_support(y):
+    q = integrate(Integrand(lambda x: y, 0.0, 1.0))
+    assert q.value == 0.0 and q.abs_error_estimate == 0.0
+
+
+@pytest.mark.parametrize("transform", ["inverse", "exp"])
+@pytest.mark.parametrize("y", NON_FINITE + (sys.float_info.max,))
+def test_non_finite_node_counts_as_zero_on_tail_transforms(transform, y):
+    # the largest float is finite, but the 1/t^2 or 1/(1 - t) Jacobian
+    # overflows it at every interior node: the one guard sits after it
+    q = integrate(Integrand(lambda x: y, 0.5, math.inf),
+                  tail_transform=transform)
+    assert q.value == 0.0 and q.abs_error_estimate == 0.0
+
+
+@pytest.mark.parametrize("f", [Integrand(lambda x: 1.0 / x, 0.0, 1.0),
+                               Integrand(math.sin, 0.0, math.inf)])
+def test_divergent_integral_raises_without_a_warning(f):
+    # QUADPACK's own failure flag: without full_output, scipy would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            integrate(f)
+
+
+# (model, weight, gamma) -> QUADPACK evaluations / subdivisions, as
+# counted before the integrands were flattened; both must stay put
+EVALUATION_COUNTS = [
+    (wfgcpe.make_power(1.0, 2.0), wfgcpe.weight_x(), 0.5, 273, 7),
+    (wfgcpe.make_frechet(1.0, 4.0), wfgcpe.weight_x_squared(), 1.5, 189, 5),
+    (wfgcpe.make_weibull_square(1.0), wfgcpe.weight_sqrt_x(), 0.25, 147, 4),
+    (wfgcpe.make_exponential(1.0), wfgcpe.weight_exp_neg(), 2.75, 357, 9),
+    (wfgcpe.make_uniform_shifted(0.5), wfgcpe.weight_one(), 1.0, 231, 6),
+]
+
+
+@pytest.mark.parametrize("model, weight, gamma, evaluations, subdivisions",
+                         EVALUATION_COUNTS)
+def test_evaluations_are_quadpack_neval_and_python_calls(
+        model, weight, gamma, evaluations, subdivisions):
+    calls = [0]
+    log_cdf = model.log_cdf
+
+    def counted(x):
+        calls[0] += 1
+        return log_cdf(x)
+
+    model = dataclasses.replace(model, log_cdf=counted)
+    q = wfgcpe.wfgcpe(model, weight, gamma, method="quadrature").quadrature
+    assert (q.evaluations, q.subdivisions) == (evaluations, subdivisions)
+    assert calls[0] == evaluations
