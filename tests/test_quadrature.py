@@ -7,12 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import gamma as gamma_fn
 
 import wfgcpe
+from wfgcpe.analysis import mean_value_identity
 from wfgcpe.errors import DomainError, NonConvergence
-from wfgcpe.quadrature import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
+from wfgcpe.measures import CLOSED_FORM, QUADRATURE
+from wfgcpe.quadrature import (_TANH_SINH, _TANH_SINH_MIN_LEVEL,
+                               DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
                                integrate)
+from wfgcpe.weights import BUILTIN_WEIGHTS
 
 GAMMAS = (0.25, 0.5, 1.0, 1.5, 2.75)
 
@@ -87,11 +92,12 @@ def test_divergent_integral_raises():
 @pytest.mark.parametrize("abs_err", [-1.47e-5, math.nan, math.inf])
 def test_negative_or_nonfinite_error_estimate_raises(monkeypatch, abs_err):
     # QUADPACK's estimate is a heuristic; a divergent Frechet integral
-    # returned -1.47e-5, which passed a one-sided ``abs_err <= tol``
+    # returned -1.47e-5, which passed a one-sided ``abs_err <= tol``;
+    # a right-infinite domain always reaches QUADPACK
     monkeypatch.setattr("scipy.integrate.quad",
                         lambda *a, **k: (-0.386, abs_err, {"last": 24}))
     with pytest.raises(NonConvergence) as err:
-        integrate(Integrand(lambda x: x, 0.0, 1.0))
+        integrate(Integrand(lambda x: math.exp(-x), 0.0, math.inf))
     assert err.value.value == -0.386
     assert "after 24 subdivisions" in str(err.value)
 
@@ -142,14 +148,15 @@ def test_divergent_integral_raises_without_a_warning(f):
             integrate(f)
 
 
-# (model, weight, gamma) -> QUADPACK evaluations / subdivisions, as
-# counted before the integrands were flattened; both must stay put
+# (model, weight, gamma) -> evaluations / subdivisions: the tanh-sinh
+# nodes and settled level on the two finite supports, QUADPACK's ``neval``
+# and ``last`` on the three right-infinite ones; all must stay put
 EVALUATION_COUNTS = [
-    (wfgcpe.make_power(1.0, 2.0), wfgcpe.weight_x(), 0.5, 273, 7),
+    (wfgcpe.make_power(1.0, 2.0), wfgcpe.weight_x(), 0.5, 115, 4),
     (wfgcpe.make_frechet(1.0, 4.0), wfgcpe.weight_x_squared(), 1.5, 189, 5),
     (wfgcpe.make_weibull_square(1.0), wfgcpe.weight_sqrt_x(), 0.25, 147, 4),
     (wfgcpe.make_exponential(1.0), wfgcpe.weight_exp_neg(), 2.75, 357, 9),
-    (wfgcpe.make_uniform_shifted(0.5), wfgcpe.weight_one(), 1.0, 231, 6),
+    (wfgcpe.make_uniform_shifted(0.5), wfgcpe.weight_one(), 1.0, 51, 3),
 ]
 
 
@@ -168,3 +175,132 @@ def test_evaluations_are_quadpack_neval_and_python_calls(
     q = wfgcpe.wfgcpe(model, weight, gamma, method="quadrature").quadrature
     assert (q.evaluations, q.subdivisions) == (evaluations, subdivisions)
     assert calls[0] == evaluations
+
+
+@pytest.mark.parametrize("f, transform", [
+    (Integrand(lambda x: 1.0 / x, 1.0, math.inf), "inverse"),
+    (Integrand(lambda x: 1.0 / x if x > 0 else 0.0, 0.0, math.inf),
+     "inverse"),
+    (Integrand(lambda x: 1.0 / x, 1.0, math.inf), "exp"),
+    (Integrand(lambda x: x ** -0.5, 1.0, math.inf), "exp"),
+    (Integrand(lambda x: x, 1.0, math.inf), "exp"),
+])
+def test_divergent_tail_is_nonconvergence_not_a_raw_error(f, transform):
+    # bisection toward an end of (0, 1): t*t underflows to 0, or t rounds
+    # to 1 where log1p(-t) has no value; such a node counts as 0
+    with pytest.raises(NonConvergence):
+        integrate(f, tail_transform=transform)
+
+
+def _closed_form_grid():
+    """(model, closed-form twin, weight): power, shifted uniform (integer
+    exponents only) and the PRH of power(1, 2), which is power(1, 3)."""
+    prh = wfgcpe.prh_transform(wfgcpe.make_power(1.0, 2.0), 1.5)
+    cells = []
+    for m, twin, weights in (
+            (wfgcpe.make_power(1.0, 2.0), None, ("one", "x", "x2", "sqrtx")),
+            (wfgcpe.make_power(2.0, 3.0), None, ("one", "x", "x2", "sqrtx")),
+            (wfgcpe.make_uniform_shifted(0.5), None, ("one", "x", "x2")),
+            (prh, wfgcpe.make_power(1.0, 3.0), ("one", "x", "x2", "sqrtx"))):
+        cells += [(m, twin or m, BUILTIN_WEIGHTS[w]()) for w in weights]
+    return cells
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_bounded_supports_match_closed_forms_to_1e13(gamma):
+    # tanh-sinh is built for the endpoint singularities of K (-ln K)^gamma;
+    # QUADPACK's extrapolation at the same tolerances is off by up to 1.8e-12
+    for model, twin, psi in _closed_form_grid():
+        got = wfgcpe.wfgcpe(model, psi, gamma, method=QUADRATURE).value
+        want = wfgcpe.wfgcpe(twin, psi, gamma, method=CLOSED_FORM).value
+        assert abs(got - want) <= 1e-13 * abs(want), (model.family, psi.tag)
+
+
+def _count_quadpack(monkeypatch):
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(*a, **k):
+        out = quad(*a, **k)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr("scipy.integrate.quad", counted)
+    return calls
+
+
+def test_interior_kink_falls_back_to_quadpack(monkeypatch):
+    # K1 = min(x, 1) against uniform(0, 2): the kernel integrands have a
+    # kink at x = 1, the centre of (0, 2), where tanh-sinh does not settle
+    calls = _count_quadpack(monkeypatch)
+    identity, bound = mean_value_identity(
+        wfgcpe.make_uniform_shifted(0.0), wfgcpe.make_power(2.0, 1.0),
+        wfgcpe.weight_x(), 0.5)
+    assert len(calls) == 2
+    # the values QUADPACK alone gave for both kernel integrals
+    assert (identity.lhs, identity.rhs, bound.rhs) == (
+        0.19245008972987526, 0.19245008972989, 0.096225044864945)
+
+
+def test_node_error_near_an_end_falls_back_to_quadpack(monkeypatch):
+    # tanh-sinh nodes reach 1e-37 of an end, QUADPACK's never this close
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        if x < 1e-17:
+            raise ZeroDivisionError("too near the end")
+        return x * x
+
+    calls = _count_quadpack(monkeypatch)
+    q = integrate(Integrand(f, 0.0, 1.0))
+    value, err, info = calls[0][:3]
+    assert (q.value, q.abs_error_estimate) == (value, err)
+    assert q.subdivisions == info["last"]
+    assert q.evaluations == len(seen) > info["neval"]
+    assert abs(q.value - 1.0 / 3.0) < 1e-15
+
+
+def test_a_kink_stops_the_rule_after_level_4(monkeypatch):
+    # |x - 0.3| converges algebraically, not double exponentially: the rule
+    # gives up once a level shrinks its change less than tenfold
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return abs(x - 0.3)
+
+    calls = _count_quadpack(monkeypatch)
+    q = integrate(Integrand(f, 0.0, 1.0))
+    assert len(calls) == 1
+    assert len(seen) - calls[0][2]["neval"] <= 1 + 2 * sum(
+        map(len, _TANH_SINH[:_TANH_SINH_MIN_LEVEL + 2]))
+    assert abs(q.value - 0.29) < 1e-14
+
+
+@pytest.mark.parametrize("level", range(_TANH_SINH_MIN_LEVEL, len(_TANH_SINH)))
+def test_tanh_sinh_weights_integrate_one(level):
+    # every level the rule may stop at; below it the step is too coarse
+    weights = [w for nodes in _TANH_SINH[:level + 1] for _, w in nodes]
+    total = 0.5 * math.pi + 2.0 * math.fsum(weights)
+    assert abs(total / 2 ** level - 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 1.5),
+                                    (1.0, 1.0 + 2.0 ** -40), (3.0, 1e6)])
+def test_no_node_is_an_endpoint(monkeypatch, lo, hi):
+    # a step of integral 0.3: the rule does not settle and QUADPACK runs;
+    # level 0 holds the nodes nearest the ends
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 1.0 / (hi - lo) if x < lo + 0.3 * (hi - lo) else 0.0
+
+    calls = _count_quadpack(monkeypatch)
+    try:
+        integrate(Integrand(f, lo, hi))
+    except NonConvergence:  # QUADPACK cannot bisect 2^-40 down to the step
+        pass
+    assert len(calls) == 1
+    assert all(lo < x < hi for x in seen)
