@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .distributions import DistributionModel, prh_transform
+from .distributions import DistributionModel, make_power, prh_transform
 from .empirical import (_check_moment_args, _estimator_coefficients,
                         _exact_moments)
 from .errors import (DomainError, PreconditionUnmet, WfgcpeError,
@@ -275,18 +275,15 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
                             upper=False))
 
-    # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}
-    def f_lnD(u):
+    # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}, with
+    # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u)
+    def f_b(u):
         x = q(u)
-        return math.log(p(x) * u) + gamma * math.log(-math.log(u))
-
-    def f_H(u):
-        return -math.log(pdf(q(u)))
+        return (math.log(p(x) * u) + gamma * math.log(-math.log(u))
+                - math.log(pdf(x)))
 
     try:
-        ln_d = integrate(Integrand(f_lnD, 0.0, 1.0)).value
-        h_x = integrate(Integrand(f_H, 0.0, 1.0)).value
-        rhs_b = math.exp(ln_d + h_x) / g1
+        rhs_b = math.exp(integrate(Integrand(f_b, 0.0, 1.0)).value) / g1
         reports.append(_verdict("log_sum_entropy_lower_bound", cpe, rhs_b,
                                 upper=False))
     except (WfgcpeError, ValueError, OverflowError,
@@ -414,8 +411,8 @@ def find_st_counterexample(gammas=(0.5, 2.5), c_grid=None,
         c_grid = np.linspace(0.5, 6.0, 23)
     g1, g2 = gammas
 
-    def f(c, g):
-        return c ** g / (c + 2.0) ** (g + 1.0)
+    def f(c, g):  # the entropy of x^c with weight x
+        return make_power(1.0, float(c)).closed_wfgcpe(1.0, g)
 
     for i, c1 in enumerate(c_grid):
         for c2 in c_grid[i:]:

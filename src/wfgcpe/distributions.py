@@ -67,14 +67,6 @@ class DistributionModel:
     def survival(self, x: float) -> float:
         return 1.0 - self.cdf(x)
 
-    def neg_log_cdf(self, x: float) -> float:
-        """``-ln K(x)``."""
-        return -self.log_cdf(x)
-
-    def neg_log_survival(self, x: float) -> float:
-        """``-ln (1 - K(x))``."""
-        return -self.log_survival(x)
-
     def reversed_hazard(self, x: float) -> float:
         k = self.cdf(x)
         if k <= 0.0:
@@ -281,8 +273,8 @@ def make_custom(cdf, pdf, quantile, support, family="custom",
                 params=None) -> DistributionModel:
     """Wrap user-supplied functions, validating the model invariants.
 
-    Validation probes ``K(Q(u)) = u`` and ``lambda(t) K(t) = k(t)`` on a
-    1024-point grid and checks that the density integrates to one.
+    Validation probes ``K(Q(u)) = u`` on a 1024-point grid and checks
+    that the density integrates to one.
     """
     lo, hi = support
     if lo < 0 or not lo < hi:
@@ -297,15 +289,10 @@ def make_custom(cdf, pdf, quantile, support, family="custom",
 def _validate_model(model: DistributionModel):
     us = np.linspace(0.0, 1.0, _PROBE_POINTS + 2)[1:-1]
     for u in us:
-        x = model.quantile(u)
-        if abs(model.cdf(x) - u) > 1e-9:
+        k = model.cdf(model.quantile(u))
+        if abs(k - u) > 1e-9:
             raise ValidationError(
-                f"quantile/CDF mismatch at u={u}: K(Q(u))={model.cdf(x)}")
-        k = model.cdf(x)
-        if k > 0:
-            lam = model.pdf(x) / k
-            if abs(lam * k - model.pdf(x)) > 1e-9:
-                raise ValidationError(f"reversed hazard inconsistent at x={x}")
+                f"quantile/CDF mismatch at u={u}: K(Q(u))={k}")
     total = integrate(Integrand(model.pdf, *model.support)).value
     if abs(total - 1.0) > 1e-8:
         raise ValidationError(f"density integrates to {total}, not 1")
@@ -383,10 +370,10 @@ def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
         x = q(v)
         if not tilde:
             return x * p(x) * (-math.log(u)) ** g1
-        dp = p(x)
-        if dp == 0.0:
+        dp, d = p(x), pdf(x)
+        if dp == 0.0 or d == 0.0:  # x rounds onto an end: no mass there
             return 0.0
-        return x * dp * (-math.log(u)) ** g1 / (pdf(x) / cdf(x))
+        return x * dp * (-math.log(u)) ** g1 / (d / cdf(x))
 
     return float(integrate(Integrand(f, 0.0, 1.0)).value / _gamma(gamma))
 
@@ -401,8 +388,19 @@ def prh_expectation_terms(base: DistributionModel, eta,
 
     ``E  = (1/Gamma(g)) int_0^1 Q2(u) psi(Q2(u)) (-ln u)^(g-1) du``
     ``Et = (1/Gamma(g)) int_0^1 Q2(u) psi'(Q2(u)) (-ln u)^(g-1) / lambda1 du``
+
+    Both pass the divergence gate first: ``E`` at order ``g``, and ``Et``,
+    whose x-space integrand ``x psi' K2 (-ln K2)^(g-1)`` decays like
+    ``x^{p - a(g-1)}``, at ``g - 1`` unless ``psi`` tends to a constant.
     """
     e = _as_eta(eta)
+    require_positive(gamma=gamma)
+    if psi.growth != 0.0:
+        try:
+            _refuse_divergent_tail(base, psi, gamma - 1.0)
+        except ConstraintError as exc:
+            raise ConstraintError(f"Et, of order gamma - 1: {exc}") from None
+    _refuse_divergent_tail(base, psi, gamma)
     return PrhExpectationTerms(_prh_term(base, e, psi, gamma),
                                _prh_term(base, e, psi, gamma, True), gamma)
 
@@ -425,12 +423,7 @@ def prh_recurrence_step(base: DistributionModel, eta, psi: WeightFunction,
 
     ``E(g) - E(g + 2) - eta^{-1} [Et(g + 1) + Et(g + 2)] - prior``.
     """
-    e = _as_eta(eta)
-    _refuse_divergent_tail(base, psi, gamma)
-    term = partial(_prh_term, base, e, psi)
-    return float(term(gamma) - term(gamma + 2.0)
-                 - (term(gamma + 1.0, True) + term(gamma + 2.0, True)) / e
-                 - prior)
+    return prh_n_step(base, eta, psi, gamma, 1, prior)
 
 
 def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
@@ -438,19 +431,18 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
     """Closed n-step recurrence for the order ``gamma + n`` entropy.
 
     ``prior`` is the order ``gamma`` value. Equals ``n`` chained
-    applications of ``prh_recurrence_step``, which is its ``n = 1`` case
-    (the two ``E(g + 1)`` terms cancel).
+    applications of ``prh_recurrence_step``, which is its ``n = 1`` case:
+    there the pair ``E(g + n) + s E(g + 1)``, ``s = (-1)^n``, cancels and
+    is not integrated.
     """
     if not (n >= 1 and float(n).is_integer()):
         raise DomainError(f"require integer n >= 1, got {n}")
-    if n == 1:
-        return prh_recurrence_step(base, eta, psi, gamma, prior)
     e = _as_eta(eta)
     _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
     sign = (-1.0) ** n
-    return float(term(gamma + n) - term(gamma + n + 1.0)
-                 - sign * (term(gamma) - term(gamma + 1.0))
+    e_n, e_1 = (term(gamma + n), term(gamma + 1.0)) if n > 1 else (0.0, 0.0)
+    return float(e_n - term(gamma + n + 1.0) - sign * (term(gamma) - e_1)
                  + (sign * term(gamma + 1.0, True)
                     - term(gamma + n + 1.0, True)) / e
                  + sign * prior)

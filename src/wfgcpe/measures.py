@@ -139,7 +139,7 @@ def dynamic_wfgcpe(model: DistributionModel, psi: WeightFunction,
     lo, hi = model.support
     if not lo < t < hi:
         raise DomainError(f"t={t} outside open support ({lo}, {hi})")
-    nlt = model.neg_log_cdf(t)
+    nlt = -model.log_cdf(t)
     if math.isinf(nlt):
         raise DomainError(f"K(t)=0 at t={t}")
 

@@ -152,10 +152,11 @@ def custom_weight(psi, antiderivative=None, derivative=None,
 
 
 def piecewise_linear_weight(xs, ys) -> WeightFunction:
-    """Piecewise-linear weight from a table, with trapezoid antiderivative.
+    """Piecewise-linear weight from a table, with trapezoid antiderivative
+    and, as derivative, the slope of the segment that holds ``x``.
 
-    Outside the table the weight is extended by its endpoint values. Both
-    ``psi`` and ``Psi`` take a float or an ndarray.
+    Outside the table the weight is extended by its endpoint values (slope
+    0). ``psi``, ``Psi`` and ``psi'`` take a float or an ndarray.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -187,6 +188,13 @@ def piecewise_linear_weight(xs, ys) -> WeightFunction:
         return out if isinstance(x, np.ndarray) else float(out)
 
     d = np.diff(ys)
+    # slopes[i] holds on [xs[i - 1], xs[i]); 0 below and past the table
+    slopes = np.concatenate([[0.0], d / np.diff(xs), [0.0]])
+
+    def dpsi(x):
+        s = slopes[np.searchsorted(xs, x, side="right")]
+        return s if isinstance(x, np.ndarray) else float(s)
+
     if np.all(d >= 0):
         mono = INCREASING if np.any(d > 0) else CONSTANT
     elif np.all(d <= 0):
@@ -194,7 +202,7 @@ def piecewise_linear_weight(xs, ys) -> WeightFunction:
     else:
         mono = NEITHER
     growth = 0.0 if ys[-1] > 0 else -math.inf  # constant past the table
-    return WeightFunction(psi, big, None, mono, "custom", growth)
+    return WeightFunction(psi, big, dpsi, mono, "custom", growth)
 
 
 BUILTIN_WEIGHTS = {

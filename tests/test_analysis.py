@@ -24,6 +24,7 @@ from wfgcpe.distributions import (make_custom, make_exponential,
                                   prh_transform)
 from wfgcpe.errors import DomainError, PreconditionUnmet
 from wfgcpe.measures import wfgcpe
+from wfgcpe.quadrature import Integrand
 from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight,
                             piecewise_linear_weight, power_weight,
                             self_density_weight, weight_exp_neg, weight_one,
@@ -206,6 +207,34 @@ def test_bound_suite_log_sum_reports_divergence_not_bugs():
         bound_suite(dataclasses.replace(base, pdf=broken), weight_x(), 1.0)
 
 
+@pytest.mark.parametrize("model", [
+    make_power(1.0, 2.0), make_uniform_shifted(0.5), make_frechet(1.0, 4.0),
+    make_weibull_square(1.0), make_exponential(1.0)],
+    ids=lambda m: m.family)
+@pytest.mark.parametrize("psi", [weight_x(), weight_exp_neg()],
+                         ids=lambda w: w.tag)
+def test_bound_suite_log_sum_is_one_integral(monkeypatch, model, psi):
+    # ln D + H(X) as one integral: clauses (a) and (b) take one each
+    calls = []
+    real = analysis.integrate
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate", counted)
+    g = 2.75
+    rhs = {r.name: r.rhs for r in bound_suite(model, psi, g)}
+    assert len(calls) == 2
+    q, pdf = model.quantile, model.pdf
+    ln_d = real(Integrand(lambda u: math.log(psi(q(u)) * u)
+                          + g * math.log(-math.log(u)), 0.0, 1.0)).value
+    h_x = real(Integrand(lambda u: -math.log(pdf(q(u))), 0.0, 1.0)).value
+    expected = math.exp(ln_d + h_x) / math.gamma(g + 1.0)
+    got = rhs["log_sum_entropy_lower_bound"]
+    assert abs(got - expected) <= 1e-10 * expected
+
+
 def test_monotone_weight_bound_directions():
     m = make_uniform_shifted(0.0)
     inc = {r.name: r for r in bound_suite(m, weight_x(), 0.75)}
@@ -255,9 +284,8 @@ def test_prh_bound_check():
 
 def test_find_st_counterexample():
     pair = find_st_counterexample()
-    assert pair is not None
+    assert pair == (0.5, 2.0)
     c1, c2 = pair
-    assert c1 <= c2
 
     def closed(c, g):
         return c ** g / (c + 2.0) ** (g + 1.0)

@@ -4,9 +4,11 @@ decomposition."""
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from wfgcpe import distributions
 from wfgcpe.distributions import (DistributionModel, PrhParameter,
                                   make_custom, make_exponential,
                                   make_frechet, make_power,
@@ -16,7 +18,8 @@ from wfgcpe.distributions import (DistributionModel, PrhParameter,
                                   prh_transform, prh_wfgcpe)
 from wfgcpe.errors import ConstraintError, DomainError, ValidationError
 from wfgcpe.measures import wfgcpe
-from wfgcpe.weights import weight_one, weight_x, weight_x_squared
+from wfgcpe.weights import (piecewise_linear_weight, weight_one, weight_x,
+                            weight_x_squared)
 
 GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.75)
 
@@ -131,6 +134,17 @@ def test_make_custom_validates():
     assert good.family == "custom"
 
 
+def test_make_custom_accepts_a_narrow_uniform():
+    # pdf/K * K and pdf differ only by rounding, which once refused this
+    width = 2e-9
+    cdf = lambda x: min(max(x / width, 0.0), 1.0)  # noqa: E731
+    pdf = lambda x: 1.0 / width if 0 < x < width else 0.0  # noqa: E731
+    model = make_custom(cdf, pdf, lambda u: u * width, (0.0, width))
+    assert model.support == (0.0, width)
+    with pytest.raises(ValidationError, match="quantile/CDF mismatch"):
+        make_custom(cdf, pdf, lambda u: u * u * width, (0.0, width))
+
+
 # ---------------------------------------------------------------------------
 # Proportional reversed hazard
 # ---------------------------------------------------------------------------
@@ -236,6 +250,62 @@ def test_prh_identities_return_plain_floats():
         assert type(value) is float
 
 
+def test_prh_recurrence_is_the_one_step_of_the_n_step(monkeypatch):
+    # E(g + 1) cancels at n = 1: 4 integrals there, 6 above
+    base, eta, g = make_power(1.0, 2.0), 1.5, 0.75
+    prior = wfgcpe(prh_transform(base, eta), weight_x(), g).value
+    calls, real = [], distributions.integrate
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(distributions, "integrate", counted)
+    stepped = prh_recurrence_step(base, eta, weight_x(), g, prior)
+    assert len(calls) == 4
+    assert stepped == prh_n_step(base, eta, weight_x(), g, 1, prior)
+    for n in (2, 3):
+        del calls[:]
+        prh_n_step(base, eta, weight_x(), g, n, prior)
+        assert len(calls) == 6
+
+
+def test_prh_terms_take_no_quadpack_where_the_quantile_hits_the_end(
+        monkeypatch):
+    # u -> 1 rounds the quantile onto b, where the density is 0: that node
+    # counts 0 instead of raising ZeroDivisionError into QUADPACK
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("QUADPACK ran")
+
+    monkeypatch.setattr("scipy.integrate.quad", no_quadpack)
+    base, eta, g, n = make_power(1.996, 3.552), 2.701, 1.0, 2
+    c2 = 3.552 * eta
+    truth = make_power(1.996, c2).closed_wfgcpe
+    got = prh_n_step(base, eta, weight_x(), g, n, truth(1.0, g))
+    assert abs(got - truth(1.0, g + n)) <= 1e-9 * truth(1.0, g + n)
+
+
+def test_piecewise_weight_slope_in_the_singular_et_term():
+    # Et's integrand is singular at the support end for gamma < 1, so a
+    # central difference near the knot at 0.3 showed (7e-4 off); mpmath
+    # in x-space: eta x^{2 eta + 1} psi'(x) (-2 eta ln x)^{g-1} / Gamma(g)
+    eta, g = 0.7, 0.5
+    w = piecewise_linear_weight([0.0, 0.3, 1.0], [0.0, 1.0, 0.05])
+    got = prh_expectation_terms(make_power(1.0, 2.0), eta, w, g)
+
+    def piece(lo, hi, slope):
+        return mp.quad(lambda x: x ** (2 * eta + 1) * slope
+                       * (-2 * eta * mp.log(x)) ** (g - 1), [lo, hi])
+
+    with mp.workdps(40):
+        expected = float(eta * (piece(0, mp.mpf("0.3"), 1 / mp.mpf("0.3"))
+                                + piece(mp.mpf("0.3"), 1,
+                                        -mp.mpf("0.95") / mp.mpf("0.7")))
+                         / mp.gamma(g))
+    assert abs(expected + 0.429082362920) < 1e-12
+    assert abs(got.e_tilde_term - expected) <= 1e-9
+
+
 def test_prh_n_step_validation():
     base = make_uniform_shifted(0.0)
     with pytest.raises(DomainError):
@@ -283,8 +353,6 @@ def test_fallback_logs_follow_the_cdf():
     m = _square_model()
     for x in FALLBACK_XS:
         k = m.cdf(x)
-        assert m.neg_log_cdf(x) == _neg_log(k), x
-        assert m.neg_log_survival(x) == _neg_log(1.0 - k), x
         assert m.log_cdf(x) == -_neg_log(k), x
         assert m.log_survival(x) == -_neg_log(1.0 - k), x
 
@@ -309,7 +377,7 @@ def test_replace_cdf_derives_the_logs_again():
     cube = dataclasses.replace(m, cdf=lambda x: min(max(x, 0.0), 1.0) ** 3)
     for x in FALLBACK_XS:
         k = cube.cdf(x)
-        assert cube.neg_log_cdf(x) == _neg_log(k), x
-        assert cube.neg_log_survival(x) == _neg_log(1.0 - k), x
+        assert cube.log_cdf(x) == -_neg_log(k), x
+        assert cube.log_survival(x) == -_neg_log(1.0 - k), x
     # no stale log closes over the old cdf
     assert cube.log_cdf(0.5) == math.log(0.125) != m.log_cdf(0.5)

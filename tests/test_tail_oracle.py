@@ -1,7 +1,7 @@
 """Quadrature in the right tail: an in-test mpmath oracle for the Weibull
 and exponential families and for the Frechet forms, typed refusals of
 divergent Frechet integrals before any quadrature (the PRH identities
-included), the PRH decomposition against the transformed model, and the
+and expectation terms included), the PRH decomposition against the transformed model, and the
 closed forms by weight exponent against mpmath."""
 
 import math
@@ -13,7 +13,8 @@ from wfgcpe import cli, distributions, measures
 from wfgcpe.cli import EXIT_NONCONVERGENCE, EXIT_USAGE, main
 from wfgcpe.distributions import (make_exponential, make_frechet,
                                   make_power, make_uniform_shifted,
-                                  make_weibull_square, prh_n_step,
+                                  make_weibull_square,
+                                  prh_expectation_terms, prh_n_step,
                                   prh_recurrence_step, prh_transform,
                                   prh_wfgcpe)
 from wfgcpe.errors import ConstraintError, NonConvergence
@@ -331,6 +332,36 @@ def test_prh_identities_on_the_frechet_grid(monkeypatch, identity, eta,
     prior, expected = (wfgcpe(model, psi, gamma + j).value for j in (0, k))
     got = run_identity(eta, psi, gamma, prior)
     assert abs(got - expected) <= 1e-7 * expected
+
+
+#: Et(gamma)'s x-space integrand x psi' K2 (-ln K2)^{gamma-1} decays like
+#: x^{p - 4(gamma-1)}: finite only for gamma > (p + 1)/4 + 1.
+ET_GRID = [(name, g) for name in ("x", "x2", "sqrtx")
+           for g in (0.25, 0.5, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("name,gamma", [
+    cell if cell != ("sqrtx", 1.5) else pytest.param(
+        *cell, marks=pytest.mark.xfail(
+            raises=NonConvergence, strict=True,
+            reason="quantile-space Et; finite (2.20421822318)"))
+    for cell in ET_GRID])
+def test_prh_expectation_terms_refuse_a_divergent_et(monkeypatch, name,
+                                                     gamma):
+    """11 of the 12 cells diverge in Et and are refused, naming Et and its
+    order gamma - 1, without a quadrature call; the finite one,
+    sqrt(x) at gamma = 1.5, still ends in NonConvergence."""
+    psi = BUILTIN_WEIGHTS[name]()
+    if gamma - 1.0 > (psi.growth + 1.0) / 4.0:
+        # Et = eta^{11/8} Gamma(1/8) / (8 Gamma(3/2)) for sqrt(x), g = 1.5
+        expected = 1.7 ** 1.375 * math.gamma(0.125) / (8 * math.gamma(1.5))
+        got = prh_expectation_terms(FRECHET, 1.7, psi, gamma).e_tilde_term
+        assert abs(got - expected) <= 1e-9 * expected
+        return
+    _forbid_quadrature(monkeypatch)
+    with pytest.raises(ConstraintError, match=r"^Et, of order gamma - 1: "
+                       rf".* diverges .*, got {gamma - 1.0:g}$"):
+        prh_expectation_terms(FRECHET, 1.7, psi, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,20 @@ def test_piecewise_linear_weight():
     assert w.monotonicity == "increasing"
 
 
+def test_piecewise_linear_weight_slope():
+    # the slope of the segment that holds x, right at a knot, and 0 outside
+    # the table; a central difference is wrong within 1e-6 of each knot
+    w = piecewise_linear_weight([0.0, 0.3, 1.0], [0.0, 1.0, 0.05])
+    xs = np.array([-1.0, 0.0, 0.3 - 1e-9, 0.3, 0.3 + 1e-9, 1.0 - 1e-9, 1.0,
+                   2.0])
+    up, down = 1.0 / 0.3, -0.95 / 0.7
+    expected = [0.0, up, up, down, down, down, 0.0, 0.0]
+    assert [w.psi_prime(float(x)) for x in xs] == expected
+    got = w.derivative(xs)
+    assert isinstance(got, np.ndarray) and list(got) == expected
+    assert isinstance(w.psi_prime(0.5), float)
+
+
 def test_piecewise_linear_weight_takes_arrays():
     w = piecewise_linear_weight([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
     xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
