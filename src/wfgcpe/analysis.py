@@ -22,11 +22,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .distributions import DistributionModel, make_power, prh_transform
+from .distributions import (DistributionModel, _refuse_divergent_tail,
+                            make_power, prh_transform)
 from .empirical import (_check_moment_args, _estimator_coefficients,
                         _exact_moments)
-from .errors import (DomainError, PreconditionUnmet, WfgcpeError,
-                     require_positive)
+from .errors import (ConstraintError, DomainError, PreconditionUnmet,
+                     WfgcpeError, require_positive)
 from .measures import _log_kernel_integral, tau, weighted_cpe, wfgcpe
 from .quadrature import Integrand, integrate
 from .weights import (WeightFunction, _array_call, _elementwise, power_weight,
@@ -290,15 +291,21 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
             ZeroDivisionError) as exc:  # divergent D or H: bound vacuous
         reports.append(_inapplicable("log_sum_entropy_lower_bound", cpe, exc))
 
-    # (c) Jensen on the decreasing convex tau: CPE >= tau(mean)
-    if psi.monotonicity == "decreasing":
-        mu = model.mean()
-        rhs_c = tau(model, psi, gamma, mu)
-        reports.append(_verdict("tau_at_mean_lower_bound", cpe, rhs_c,
-                                upper=False))
-    else:
+    # (c) Jensen on the decreasing convex tau: CPE >= tau(mean); the mean
+    # is the residual kernel at psi = 1, so its rule says where it diverges
+    if psi.monotonicity != "decreasing":
         reports.append(_inapplicable("tau_at_mean_lower_bound", cpe,
                                      "weight not decreasing"))
+    else:
+        try:
+            _refuse_divergent_tail(model, weight_one(), 1.0, residual=True)
+        except ConstraintError:
+            reports.append(_inapplicable("tau_at_mean_lower_bound", cpe,
+                                         "infinite mean"))
+        else:
+            rhs_c = tau(model, psi, gamma, model.mean())
+            reports.append(_verdict("tau_at_mean_lower_bound", cpe, rhs_c,
+                                    upper=False))
 
     # (d) comparison against psi(s) times the unweighted measure
     if finite and psi.monotonicity in ("increasing", "decreasing", "constant"):

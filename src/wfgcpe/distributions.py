@@ -43,7 +43,8 @@ class DistributionModel:
     weight ``x^p``, or ``None`` where the family has none for that
     exponent; it is called only after ``_refuse_divergent_tail``, which
     reads ``tail_index``: ``a`` with ``-ln K(x) ~ C x^{-a}`` as
-    ``x -> inf``, ``None`` where undeclared or lighter than any power.
+    ``x -> inf``, ``inf`` where lighter than any power, ``None`` where
+    undeclared.
     """
 
     cdf: Callable[[float], float]
@@ -196,8 +197,10 @@ def make_frechet(b: float, c: float) -> DistributionModel:
 
     def quantile(u):
         try:
-            return (b / -math.log(u)) ** (1.0 / c)
-        except TypeError:  # an ndarray
+            if u >= 1.0:  # the support's ends: inf here, 0 at u <= 0
+                return math.inf
+            return 0.0 if u <= 0.0 else (b / -math.log(u)) ** (1.0 / c)
+        except (TypeError, ValueError):  # an ndarray
             return (b / -np.log(u)) ** (1.0 / c)
 
     return DistributionModel(
@@ -229,6 +232,10 @@ def make_weibull_square(theta: float) -> DistributionModel:
             return math.sqrt(-math.log1p(-u) / theta)
         except TypeError:  # an ndarray
             return np.sqrt(-np.log1p(-u) / theta)
+        except ValueError:  # no log at u >= 1, the support's end
+            if u < 1.0:
+                raise
+            return math.inf
 
     return DistributionModel(
         cdf=cdf,
@@ -239,6 +246,7 @@ def make_weibull_square(theta: float) -> DistributionModel:
         family="weibull_square", params={"theta": theta},
         log_cdf=lambda x: _log1m_exp(theta * x * x) if x > 0 else -math.inf,
         log_survival=lambda x: -theta * x * x if x > 0 else 0.0,
+        tail_index=math.inf,
     )
 
 
@@ -257,6 +265,8 @@ def make_exponential(rate: float) -> DistributionModel:
             return -math.log1p(-u) / rate
         except TypeError:  # an ndarray
             return -np.log1p(-u) / rate
+        except ValueError:  # no log at u >= 1, the support's end
+            return math.inf
 
     return DistributionModel(
         cdf=cdf,
@@ -266,6 +276,7 @@ def make_exponential(rate: float) -> DistributionModel:
         family="exponential", params={"rate": rate},
         log_cdf=lambda x: _log1m_exp(rate * x) if x > 0 else -math.inf,
         log_survival=lambda x: -rate * x if x > 0 else 0.0,
+        tail_index=math.inf,
     )
 
 

@@ -20,10 +20,9 @@ from scipy.special import gamma as _gamma
 
 from .distributions import DistributionModel, _refuse_divergent_tail
 from .errors import (DegenerateNormalizer, DomainError,
-                     MonotonicityError, NonConvergence, UnboundedSupport,
+                     MonotonicityError, UnboundedSupport,
                      require_nonnegative, require_positive)
-from .quadrature import (DEFAULT_ABS_TOL, Integrand, QuadratureResult,
-                         integrate)
+from .quadrature import Integrand, QuadratureResult, integrate
 from .weights import WeightFunction
 
 CLOSED_FORM = "closed_form"
@@ -47,9 +46,8 @@ def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
     ``log_k`` is a model's exact ``log_cdf`` or ``log_survival``, so tails
     where ``K`` rounds to 1 keep their mass, and ``psi`` a float weight;
     a node runs one closure over them. ``0 ln 0 = 0`` where ``log_k`` is 0
-    or infinite. The integrand is nonnegative, so a value below
-    ``-DEFAULT_ABS_TOL`` means a divergent integral whose error estimate
-    passed: ``NonConvergence``.
+    or infinite. A divergent integral ends in ``NonConvergence`` from
+    ``integrate``, a negative extrapolated value included.
     """
     if damped:
         def f(x):
@@ -65,10 +63,6 @@ def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
             return psi(x) * (-lk) ** gamma
 
     q = integrate(Integrand(f, lo, hi))
-    if q.value < -DEFAULT_ABS_TOL:
-        raise NonConvergence(
-            f"integral of a nonnegative integrand came out {q.value!r}: "
-            f"it diverges", value=q.value, abs_error=q.abs_error_estimate)
     return float(q.value / _gamma(gamma + 1.0)), q
 
 

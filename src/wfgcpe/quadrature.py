@@ -4,11 +4,10 @@ A finite interval takes a fixed tanh-sinh rule (Takahasi & Mori, Publ.
 RIMS 9, 1974), whose double exponential decay absorbs the algebraic-log
 singularity of ``u (-ln u)^gamma`` wherever the CDF approaches 0 or 1.
 A right-infinite domain, or a finite one where the rule does not settle
-or a node raises, goes to QUADPACK (``scipy.integrate.quad``); a
-right-infinite one is first mapped onto (0, 1) by a declared transform,
-so that two transforms can be cross-checked. One guard per node maps a
-non-finite value (endpoint underflow, an overflowing Jacobian) to its
-continuous-limit value 0; under ``full_output`` scipy does not warn.
+or a node raises, goes to QUADPACK (``scipy.integrate.quad``), whose QAGI
+routine maps a right-infinite domain onto (0, 1) itself. One guard per
+node maps a non-finite value (endpoint underflow) to its continuous-limit
+value 0; under ``full_output`` scipy does not warn.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class Integrand:
     """A scalar function on an open interval.
 
     ``eval`` must be finite on the open interior; the endpoints themselves
-    are never evaluated by the engine's transforms. ``hi`` may be ``inf``.
+    are never evaluated. ``hi`` may be ``inf``.
     """
 
     eval: Callable[[float], float]
@@ -115,7 +114,6 @@ def integrate(
     f: Integrand,
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
-    tail_transform: str = "inverse",
 ) -> QuadratureResult:
     """Integrate ``f`` over its declared open interval.
 
@@ -123,47 +121,28 @@ def integrate(
     3 on once a level moves the value by at most ``0.1 * max(abs_tol,
     rel_tol * |value|)``; if not, or once a level from 4 on shrinks that
     move less than tenfold (a kink), QUADPACK integrates the same
-    integrand, and any error it raises is genuine. For ``hi = inf`` the
-    declared ``tail_transform`` maps the domain onto (0, 1) for QUADPACK,
-    and a node whose Jacobian's denominator rounds to 0 counts as 0:
-
-    * ``"inverse"``: ``t = 1 / (1 + x - lo)``, preserving smooth
-      exponential tails;
-    * ``"exp"``: ``x = lo - ln(1 - t)``.
+    integrand, and any error it raises is genuine. For ``hi = inf``
+    QUADPACK's QAGI maps the tail onto (0, 1) itself.
 
     Raises ``NonConvergence`` if QUADPACK's subdivision budget is exhausted
-    with the error estimate above ``max(abs_tol, rel_tol * |value|)``, or
-    if the estimate is negative or not finite: QUADPACK's estimate is a
-    heuristic, and a negative one has been seen on divergent integrals.
+    with the error estimate above ``max(abs_tol, rel_tol * |value|)``, if
+    the estimate is negative or not finite (it is a heuristic, and a
+    negative one has been seen on divergent integrals), or if the value is
+    below minus that tolerance while no subinterval's value is negative:
+    the extrapolated "limit" of a divergent integral of a nonnegative
+    integrand, such as -1 for the integral of 1 over (0, inf).
     """
     require_positive(abs_tol=abs_tol, rel_tol=rel_tol)
 
-    ev = f.eval
-    if math.isinf(f.hi):
-        lo, n = f.lo, 0
-        if tail_transform == "inverse":
-            # x = lo + (1 - t)/t, dx = dt / t^2
-            def g(t):
-                tt = t * t
-                y = ev(lo + (1.0 - t) / t) / tt if tt else 0.0
-                return y if math.isfinite(y) else 0.0
-        elif tail_transform == "exp":
-            # x = lo - ln(1 - t), dx = dt / (1 - t)
-            def g(t):
-                y = ev(lo - math.log1p(-t)) / (1.0 - t) if t < 1.0 else 0.0
-                return y if math.isfinite(y) else 0.0
-        else:
-            raise DomainError(f"unknown tail transform {tail_transform!r}")
-        a, b = 0.0, 1.0
-    else:
-        a, b = f.lo, f.hi
+    ev, a, b, n = f.eval, f.lo, f.hi, 0
+    if math.isfinite(b):
         value, abs_err, level, n = _tanh_sinh(ev, a, b, abs_tol, rel_tol)
         if value is not None:
             return QuadratureResult(value, abs_err, level, n)
 
-        def g(x):
-            y = ev(x)
-            return y if math.isfinite(y) else 0.0
+    def g(x):
+        y = ev(x)
+        return y if math.isfinite(y) else 0.0
 
     out = scipy.integrate.quad(g, a, b, epsabs=abs_tol, epsrel=rel_tol,
                                limit=MAX_SUBDIVISIONS, full_output=True)
@@ -172,11 +151,14 @@ def integrate(
 
     tol = max(abs_tol, rel_tol * abs(value))
     if not (math.isfinite(value) and 0.0 <= abs_err <= tol):
-        raise NonConvergence(
-            f"quadrature did not converge: value={value!r}, "
-            f"error={abs_err!r} not in [0, {tol!r}] "
-            f"after {subdivisions} subdivisions",
-            value=value, abs_error=abs_err,
-        )
-    return QuadratureResult(value, abs_err, subdivisions,
-                            n + int(info["neval"]))
+        why = f"error={abs_err!r} not in [0, {tol!r}]"
+    elif value < -tol and not (info["rlist"][:subdivisions] < 0).any():
+        why = "below 0 with no negative subinterval"
+    else:
+        return QuadratureResult(value, abs_err, subdivisions,
+                                n + int(info["neval"]))
+    raise NonConvergence(
+        f"quadrature did not converge: value={value!r}, {why} "
+        f"after {subdivisions} subdivisions",
+        value=value, abs_error=abs_err,
+    )

@@ -22,7 +22,7 @@ from wfgcpe.distributions import (make_custom, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   prh_transform)
-from wfgcpe.errors import DomainError, PreconditionUnmet
+from wfgcpe.errors import DomainError, PreconditionUnmet, WfgcpeError
 from wfgcpe.measures import wfgcpe
 from wfgcpe.quadrature import Integrand
 from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight,
@@ -233,6 +233,15 @@ def test_bound_suite_log_sum_is_one_integral(monkeypatch, model, psi):
     expected = math.exp(ln_d + h_x) / math.gamma(g + 1.0)
     got = rhs["log_sum_entropy_lower_bound"]
     assert abs(got - expected) <= 1e-10 * expected
+
+
+def test_infinite_means_are_typed_errors():
+    # the quantile meets the support's ends, so the divergence is
+    # QUADPACK's to report, not a raw ZeroDivisionError or ValueError
+    with pytest.raises(WfgcpeError):
+        make_frechet(1.0, 1.0).mean()
+    with pytest.raises(WfgcpeError):
+        make_exponential(1.0).expectation(math.exp)
 
 
 def test_monotone_weight_bound_directions():

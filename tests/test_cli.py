@@ -355,6 +355,18 @@ def test_bounds_verb(capsys):
     assert all(r["holds"] for r in rows)
 
 
+@pytest.mark.parametrize("c", ["0.5", "1"])
+def test_bounds_verb_reports_an_infinite_mean(capsys, c):
+    # Frechet tail index c <= 1: Jensen at the mean does not apply
+    code, out, _ = run(capsys, "bounds", "--dist", "frechet", "--b", "1",
+                       "--c", c, "--weight", "expneg", "--gamma", "2",
+                       "--format", "json")
+    assert code == 0
+    rows = {r["bound"]: r for r in json.loads(out)["rows"]}
+    assert rows["tau_at_mean_lower_bound"]["note"] == (
+        "inapplicable: infinite mean")
+
+
 def test_parser_is_built_lazily():
     code = ("import wfgcpe.cli as c; n = c._parser.cache_info().currsize; "
             "c.main(['compute', '--dist', 'power', '--weight', 'x', "

@@ -6,10 +6,15 @@ integrand's arithmetic, guard or binding that moves any value by one ulp
 shows here. Regenerate the file only for a change meant to move values:
 
     PYTHONPATH=src python tests/test_golden_quadrature.py
+
+which prints how many cells moved per measure and family, the largest
+relative move, and every cell whose kind changed (a value against a typed
+error, another error, or other bound names).
 """
 
 import json
 import pathlib
+from collections import Counter
 
 import wfgcpe
 from wfgcpe.errors import WfgcpeError
@@ -126,6 +131,72 @@ def test_quadrature_grid_is_bit_identical():
     assert not moved
 
 
+def _kind(cell):
+    """``"value"``, a report's bound names, or the typed error's name."""
+    if isinstance(cell, list):
+        return [name for name, _, _ in cell]
+    try:
+        float(cell)
+    except (TypeError, ValueError):
+        return cell
+    return "value"
+
+
+def _numbers(cell) -> list:
+    if isinstance(cell, list):
+        return [float(v) for _, lhs, rhs in cell for v in (lhs, rhs)]
+    return [float(cell)]
+
+
+def describe_moves(old: dict, new: dict) -> list:
+    """Lines on how ``new`` differs from ``old``: moved cells per measure
+    and family, the largest relative move among cells of the same kind,
+    and each cell whose kind changed or that only one grid has."""
+    moved, changed, worst = Counter(), [], (0.0, None)
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        measure, family = key.split("/")[:2]
+        if measure == "mean_value":  # its keys name the two rates
+            family = "exponential"
+        moved[measure, family] += 1
+        if key not in old or key not in new or _kind(a) != _kind(b):
+            changed.append(f"  {key}: {a} -> {b}")
+            continue
+        rel = max(abs(v - u) / abs(u) if u else abs(v)
+                  for u, v in zip(_numbers(a), _numbers(b)))
+        worst = max(worst, (rel, key))
+    lines = [f"{sum(moved.values())} of {len(new)} cells moved"]
+    lines += [f"  {m}/{f}: {n}" for (m, f), n in sorted(moved.items())]
+    if worst[1] is not None:
+        lines.append(f"largest relative move {worst[0]:.3g} at {worst[1]}")
+    lines.append(f"{len(changed)} cells changed kind")
+    return lines + changed
+
+
+def test_describe_moves_reports_counts_largest_move_and_kind_changes():
+    old = {"wfgcpe/frechet/x/0.5": "1.0", "tau/power/x/0.5/0.4": "2.0",
+           "mean_value/2.0/1.0/x/0.5": [["identity", "1.0", "3.0"]],
+           "wfgcre/exponential/x/0.5": "NonConvergence"}
+    new = {"wfgcpe/frechet/x/0.5": "1.5", "tau/power/x/0.5/0.4": "2.0",
+           "mean_value/2.0/1.0/x/0.5": [["identity", "1.0", "3.3"]],
+           "wfgcre/exponential/x/0.5": "0.25"}
+    assert describe_moves(old, new) == [
+        "3 of 4 cells moved",
+        "  mean_value/exponential: 1",
+        "  wfgcpe/frechet: 1",
+        "  wfgcre/exponential: 1",
+        "largest relative move 0.5 at wfgcpe/frechet/x/0.5",
+        "1 cells changed kind",
+        "  wfgcre/exponential/x/0.5: NonConvergence -> 0.25",
+    ]
+
+
 if __name__ == "__main__":
-    GRID_FILE.write_text(json.dumps(grid_values(), indent=1) + "\n",
+    before = (json.loads(GRID_FILE.read_text(encoding="utf-8"))
+              if GRID_FILE.exists() else {})
+    after = grid_values()
+    GRID_FILE.write_text(json.dumps(after, indent=1) + "\n",
                          encoding="utf-8")
+    print("\n".join(describe_moves(before, after)))

@@ -108,6 +108,14 @@ def test_frechet_residual_cells_match_mpmath(weight, gamma):
     assert abs(got - expected) <= 1e-8 * abs(expected)
 
 
+def test_frechet_residual_cell_holds_the_engine_tolerance():
+    # 40-digit mpmath; Python's inverse tail map once gave 0.0556237948068,
+    # 1.8e-9 off and above the engine's rel_tol of 1e-9
+    got = wfgcre(make_frechet(1.0, 4.0), BUILTIN_WEIGHTS["expneg"](), 2.75)
+    expected = 0.0556237947077040
+    assert abs(got - expected) <= 1e-9 * expected
+
+
 #: Frechet(1, 4) with weight x^p diverges for gamma <= (p + 1) / 4; at
 #: these cells QUADPACK's estimate once passed and the value came out
 #: negative. The declared tail index and weight growth now refuse them.
@@ -362,6 +370,20 @@ def test_prh_expectation_terms_refuse_a_divergent_et(monkeypatch, name,
     with pytest.raises(ConstraintError, match=r"^Et, of order gamma - 1: "
                        rf".* diverges .*, got {gamma - 1.0:g}$"):
         prh_expectation_terms(FRECHET, 1.7, psi, gamma)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("name", ["x", "x2", "sqrtx"])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+def test_light_tails_refuse_et_at_orders_up_to_one(monkeypatch, family, name,
+                                                   gamma):
+    # tail index inf, lighter than any power: Et's order gamma - 1 <= 0
+    # leaves no kernel, and psi' ~ x^{p-1} does not decay fast enough
+    base = FAMILIES[family][0]
+    assert base.tail_index == math.inf
+    _forbid_quadrature(monkeypatch)
+    with pytest.raises(ConstraintError, match=r"^Et, of order gamma - 1: "):
+        prh_expectation_terms(base, 1.7, BUILTIN_WEIGHTS[name](), gamma)
 
 
 # ---------------------------------------------------------------------------
