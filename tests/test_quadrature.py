@@ -47,11 +47,35 @@ def test_exponential_tail():
     assert abs(integrate(f).value - 1.0) < 1e-9
 
 
+TAIL_TRANSFORMS = ("inverse", "exp", "qagi")
+
+
+def _mapped(f, transform):
+    """``f`` on (lo, inf), carried onto (0, 1) by a change of variable so
+    that ``integrate`` takes its finite-interval route: ``x = lo + (1 -
+    t)/t`` ("inverse") or ``x = lo - ln(1 - t)`` ("exp"). "qagi" returns
+    ``f`` as it is, for QUADPACK's QAGI to map. A node whose Jacobian's
+    denominator rounds to 0 counts as 0."""
+    ev, lo = f.eval, f.lo
+    if transform == "qagi":
+        return f
+    if transform == "inverse":
+        def g(t):
+            tt = t * t
+            return ev(lo + (1.0 - t) / t) / tt if tt else 0.0
+    else:
+        def g(t):
+            return ev(lo - math.log1p(-t)) / (1.0 - t) if t < 1.0 else 0.0
+    return Integrand(g, 0.0, 1.0)
+
+
 def test_tail_transforms_agree():
-    # QAGI's own map of (0, inf) onto (0, 1) against the closed form
+    # QAGI's own map of (0, inf) onto (0, 1), and the two substitutions
+    # through tanh-sinh, against the closed form
     f = Integrand(lambda x: x * math.exp(-x), 0.0, math.inf)
     tol = 10.0 * max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
-    assert abs(integrate(f).value - 1.0) <= tol
+    for transform in TAIL_TRANSFORMS:
+        assert abs(integrate(_mapped(f, transform)).value - 1.0) <= tol
 
 
 def test_tail_transform_offset_domain():
@@ -124,9 +148,11 @@ def test_non_finite_node_counts_as_zero_on_finite_support(y):
     assert q.value == 0.0 and q.abs_error_estimate == 0.0
 
 
+@pytest.mark.parametrize("transform", TAIL_TRANSFORMS)
 @pytest.mark.parametrize("y", NON_FINITE)
-def test_non_finite_node_counts_as_zero_on_a_right_infinite_support(y):
-    q = integrate(Integrand(lambda x: y, 0.5, math.inf))
+def test_non_finite_node_counts_as_zero_on_tail_transforms(transform, y):
+    # the one guard sits after the Jacobian, in Python or in QUADPACK
+    q = integrate(_mapped(Integrand(lambda x: y, 0.5, math.inf), transform))
     assert q.value == 0.0 and q.abs_error_estimate == 0.0
 
 
@@ -176,18 +202,26 @@ def test_evaluations_are_quadpack_neval_and_python_calls(
     assert calls[0] == evaluations
 
 
-@pytest.mark.parametrize("f", [
-    Integrand(lambda x: 1.0 / x, 1.0, math.inf),
-    Integrand(lambda x: 1.0 / x if x > 0 else 0.0, 0.0, math.inf),
-    Integrand(lambda x: x, 1.0, math.inf),
+@pytest.mark.parametrize("f, transform", [
+    # substituted by hand: bisection toward an end of (0, 1) makes t*t
+    # underflow to 0, or t round to 1, where the node counts as 0
+    (Integrand(lambda x: 1.0 / x, 1.0, math.inf), "inverse"),
+    (Integrand(lambda x: 1.0 / x if x > 0 else 0.0, 0.0, math.inf),
+     "inverse"),
+    (Integrand(lambda x: 1.0 / x, 1.0, math.inf), "exp"),
+    (Integrand(lambda x: x ** -0.5, 1.0, math.inf), "exp"),
+    (Integrand(lambda x: x, 1.0, math.inf), "exp"),
+    (Integrand(lambda x: 1.0 / x, 1.0, math.inf), "qagi"),
+    (Integrand(lambda x: 1.0 / x if x > 0 else 0.0, 0.0, math.inf), "qagi"),
+    (Integrand(lambda x: x, 1.0, math.inf), "qagi"),
     # QAGI extrapolates these to -2 and -1 with a passing error estimate,
     # although no subinterval is negative
-    Integrand(lambda x: x ** -0.5, 1.0, math.inf),
-    Integrand(lambda x: 1.0, 0.0, math.inf),
+    (Integrand(lambda x: x ** -0.5, 1.0, math.inf), "qagi"),
+    (Integrand(lambda x: 1.0, 0.0, math.inf), "qagi"),
 ])
-def test_divergent_tail_is_nonconvergence_not_a_raw_error(f):
+def test_divergent_tail_is_nonconvergence_not_a_raw_error(f, transform):
     with pytest.raises(NonConvergence):
-        integrate(f)
+        integrate(_mapped(f, transform))
 
 
 def test_a_negative_tail_integral_with_negative_subintervals_passes():
