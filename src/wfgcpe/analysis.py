@@ -1,14 +1,15 @@
 """Stochastic-order verifiers, bound checkers, and the Monte Carlo harness.
 
-Order relations are decided on probe grids (with explicit witnesses on
-violation); the decreasing-convex order is checked only against a fixed
-generator family, which is a documented limitation, not a proof. The
-Monte Carlo engine draws by inverse transform from one counter-based
-Philox stream per seed, in which every replicate owns a fixed block of
-counters, so the draws are bit-identical for any evaluation order or
-chunking. Quantiles, ``Psi``, the sort and the spacings are whole-array
-operations over fixed chunks of 2^16 draws, which run on every CPU the
-process may use; the values do not depend on the CPU count.
+Order relations, DFR and log-concavity are decided on one probe grid of
+quantiles (with explicit witnesses on violation); the decreasing-convex
+order by its integrated-CDF criterion. A verdict holds on the grid, which
+is not a proof. The Monte Carlo engine draws by inverse transform from
+one counter-based Philox stream per seed, in which every replicate owns a
+fixed block of counters, so the draws are bit-identical for any
+evaluation order or chunking. Quantiles, ``Psi``, the sort and the
+spacings are whole-array operations over fixed chunks of 2^16 draws,
+which run on every CPU the process may use; the values do not depend on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -39,10 +40,9 @@ INCONCLUSIVE = "inconclusive"
 
 _GRID_TOL = 1e-9
 
-#: Generator family for the decreasing-convex order check: nonincreasing
-#: convex exponentials plus hinge functions (t - x)^+ on a small grid.
-_DCX_LAMBDAS = (0.5, 1.0, 2.0)
-_DCX_HINGES = 7
+#: Tail probabilities of every probe grid: 2^-k and 1 - 2^-k, k <= 33
+_TAIL_PROBS = np.ldexp(1.0, -np.arange(1, 34))
+_TAIL_PROBS = np.concatenate([_TAIL_PROBS, 1.0 - _TAIL_PROBS])
 
 #: Draws per Monte Carlo chunk: bounds memory at any replicate count. It
 #: is fixed, not tied to the thread count, because ``@`` rounds by row
@@ -98,16 +98,12 @@ def _inapplicable(name: str, lhs: float, why) -> CheckReport:
                        note=f"inapplicable: {why}")
 
 
-def _finite_probe_interval(*models):
-    lo = min(m.support[0] for m in models)
-    hi = max(m.quantile(1.0 - 1e-10) if math.isinf(m.support[1])
-             else m.support[1] for m in models)
-    return lo, hi
-
-
 def _probe_grid(models, grid: int) -> np.ndarray:
-    """``grid`` interior points of the models' finite probe interval."""
-    return np.linspace(*_finite_probe_interval(*models), grid + 2)[1:-1]
+    """Every model's quantiles at ``grid`` interior probabilities and at
+    the tail probabilities, merged and sorted: dense where any has mass."""
+    us = np.concatenate([np.linspace(0.0, 1.0, grid + 2)[1:-1], _TAIL_PROBS])
+    xs = np.concatenate([_elementwise(m.quantile, us) for m in models])
+    return np.unique(xs[np.isfinite(xs)])
 
 
 def check_order(m1: DistributionModel, m2: DistributionModel,
@@ -115,30 +111,11 @@ def check_order(m1: DistributionModel, m2: DistributionModel,
     """Grid-decide whether ``m1`` precedes ``m2`` in the given relation.
 
     ``relation`` is one of ``"st"``, ``"hr"``, ``"disp"``, ``"dcx"``.
-    A ``violated`` verdict carries a witness point.
+    A ``violated`` verdict carries a witness: the point ``(x,)`` of the
+    probe grid, or for disp the probabilities ``(u, v)``.
     """
     if not isinstance(grid, (int, np.integer)) or grid < 64:
         raise DomainError(f"require an integer grid >= 64, got {grid!r}")
-    if relation == "st":
-        xs = _probe_grid((m1, m2), grid)
-        bad = np.flatnonzero(_elementwise(m2.cdf, xs)
-                             > _elementwise(m1.cdf, xs) + _GRID_TOL)
-        if bad.size:
-            return OrderVerdict("st", VIOLATED, grid, (float(xs[bad[0]]),))
-        return OrderVerdict("st", HOLDS, grid)
-    if relation == "hr":
-        # Kbar2 / Kbar1 nondecreasing where both survivals are positive
-        xs = _probe_grid((m1, m2), grid)
-        s1, s2 = (_elementwise(m.survival, xs) for m in (m1, m2))
-        keep = (s1 > 1e-12) & (s2 > 1e-12)
-        ratios, pts = s2[keep] / s1[keep], xs[keep]
-        bad = np.flatnonzero(ratios[1:] < ratios[:-1] - _GRID_TOL)
-        if bad.size:
-            return OrderVerdict("hr", VIOLATED, grid,
-                                (float(pts[bad[0] + 1]),))
-        if ratios.size < 2:
-            return OrderVerdict("hr", INCONCLUSIVE, grid)
-        return OrderVerdict("hr", HOLDS, grid)
     if relation == "disp":
         # Q1(v) - Q1(u) <= Q2(v) - Q2(u) for all u < v, i.e.
         # d = Q2 - Q1 is nondecreasing; the witness (u, v) is the first
@@ -153,18 +130,34 @@ def check_order(m1: DistributionModel, m2: DistributionModel,
             return OrderVerdict("disp", VIOLATED, grid,
                                 (float(us[i]), float(us[j])))
         return OrderVerdict("disp", HOLDS, grid)
-    if relation == "dcx":
-        tests: list[Callable[[float], float]] = [
-            (lambda x, lam=lam: math.exp(-lam * x)) for lam in _DCX_LAMBDAS]
-        for t in _probe_grid((m1, m2), _DCX_HINGES):
-            tests.append(lambda x, t=t: max(t - x, 0.0))
-        for idx, phi in enumerate(tests):
-            e1 = m1.expectation(phi)
-            e2 = m2.expectation(phi)
-            if e1 > e2 + 1e-8:
-                return OrderVerdict("dcx", VIOLATED, grid, (idx, e1, e2))
-        return OrderVerdict("dcx", HOLDS, grid)
-    raise DomainError(f"unknown relation {relation!r}")
+    if relation not in ("st", "hr", "dcx"):
+        raise DomainError(f"unknown relation {relation!r}")
+    xs = _probe_grid((m1, m2), grid)
+    k1, k2 = (_elementwise(m.cdf, xs) for m in (m1, m2))
+    if relation == "st":  # K2 <= K1
+        bad = np.flatnonzero(k2 > k1 + _GRID_TOL)
+    elif relation == "hr":
+        # Kbar2 / Kbar1 nondecreasing where both survivals are positive; a
+        # fall within what errors of 2 ulps of 1 in K1 and K2 make is noise
+        s1, s2 = 1.0 - k1, 1.0 - k2
+        keep = (s1 > 1e-12) & (s2 > 1e-12)
+        s1, s2, xs = s1[keep], s2[keep], xs[keep]
+        if xs.size < 2:
+            return OrderVerdict("hr", INCONCLUSIVE, grid)
+        ratios = s2 / s1
+        noise = 4.5e-16 * ratios * (1.0 / s1 + 1.0 / s2)
+        bad = 1 + np.flatnonzero(ratios[1:] < ratios[:-1] - _GRID_TOL
+                                 - noise[1:] - noise[:-1])
+    else:
+        # E phi(X1) <= E phi(X2) for all decreasing convex phi iff every
+        # int_lo^t (K1 - K2) dx <= 0 (Shaked & Shanthikumar 2007, ch. 4)
+        gap = np.concatenate(([0.0], k1 - k2))
+        steps = np.diff(xs, prepend=min(m1.support[0], m2.support[0]))
+        bad = np.flatnonzero(np.cumsum(0.5 * (gap[1:] + gap[:-1]) * steps)
+                             > _GRID_TOL)
+    if bad.size:
+        return OrderVerdict(relation, VIOLATED, grid, (float(xs[bad[0]]),))
+    return OrderVerdict(relation, HOLDS, grid)
 
 
 def dispersive_implies_wfgcpe_order(m1: DistributionModel,
@@ -182,15 +175,20 @@ def dispersive_implies_wfgcpe_order(m1: DistributionModel,
     return _verdict("disp_implies_cpe_order", lhs, rhs, upper=True)
 
 
+def _slopes_monotone(xs: np.ndarray, logs: np.ndarray, sign: float) -> bool:
+    """Whether ``logs`` is convex (``sign = 1``) or concave (``-1``) where
+    finite: monotone divided differences, valid on an uneven ``xs``."""
+    keep = np.isfinite(logs)
+    slopes = np.diff(logs[keep]) / np.diff(xs[keep])
+    return slopes.size > 1 and bool(np.all(sign * np.diff(slopes)
+                                           >= -_GRID_TOL))
+
+
 def is_dfr(model: DistributionModel, grid: int = 512) -> bool:
     """Decreasing failure rate, via log-convexity of the survival function
-    (nonnegative second differences of ``ln Kbar`` on a probe grid)."""
-    xs = np.linspace(*_finite_probe_interval(model), grid)
-    logs = np.array([model.log_survival(x) for x in xs])
-    logs = logs[np.isfinite(logs)]
-    if logs.size < 3:
-        return False
-    return bool(np.all(np.diff(logs, 2) >= -_GRID_TOL))
+    on the model's probe grid."""
+    xs = _probe_grid((model,), grid)
+    return _slopes_monotone(xs, _elementwise(model.log_survival, xs), 1.0)
 
 
 def hr_dfr_implies_wfgcpe_order(m1: DistributionModel,
@@ -221,7 +219,9 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
     mu1, mu2 = m1.mean(), m2.mean()
     if abs(mu1 - mu2) <= 1e-9:
         raise PreconditionUnmet(f"means are equal ({mu1})")
-    lo, hi = _finite_probe_interval(m1, m2)
+    lo = min(m.support[0] for m in (m1, m2))
+    hi = max(m.quantile(1.0 - 1e-10) if math.isinf(m.support[1])
+             else m.support[1] for m in (m1, m2))
 
     # E[tau1(X2)] collapses by Fubini to a single integral against K2.
     lc, p, k1, k2 = m1.log_cdf, psi.psi, m1.cdf, m2.cdf
@@ -343,12 +343,10 @@ def _power_of_weight(xi: WeightFunction, gamma: float) -> WeightFunction:
 
 
 def _is_log_concave_pdf(model: DistributionModel, grid: int = 512) -> bool:
-    dens = np.array([model.pdf(x) for x in _probe_grid((model,), grid)])
-    mask = dens > 1e-300
-    logs = np.log(dens[mask])
-    if logs.size < 3:
-        return False
-    return bool(np.all(np.diff(logs, 2) <= 1e-7))
+    xs = _probe_grid((model,), grid)
+    with np.errstate(divide="ignore"):
+        logs = np.log(_elementwise(model.pdf, xs))
+    return _slopes_monotone(xs, logs, -1.0)
 
 
 def convolution_cdf_grid(m1: DistributionModel, m2: DistributionModel,

@@ -222,7 +222,7 @@ def _cmd_compute(args) -> ReportDocument:
         doc.add(measure="normalized_wfgcpe", dist=args.dist,
                 weight=weight.tag, gamma=args.gamma,
                 value=normalized_wfgcpe(model, weight, args.gamma),
-                method="quadrature")
+                method=report.method)
     return doc
 
 
@@ -288,19 +288,16 @@ def _reproduce_closed_forms(normalized: bool) -> ReportDocument:
             weight = BUILTIN_WEIGHTS[wname]()
             for g in _TABLE12_GAMMAS:
                 try:
-                    if normalized:
-                        value = normalized_wfgcpe(model, weight, g)
-                        method = "quadrature"
-                    else:
-                        rep = wfgcpe(model, weight, g)
-                        value, method = rep.value, rep.method
+                    rep = wfgcpe(model, weight, g)
+                    value = (normalized_wfgcpe(model, weight, g)
+                             if normalized else rep.value)
                 except ConstraintError as exc:
                     doc.add(dist=name, params=str(model.params),
                             weight=wname, gamma=g, value=float("nan"),
                             method=f"constraint: {exc}")
                     continue
                 doc.add(dist=name, params=str(model.params), weight=wname,
-                        gamma=g, value=value, method=method)
+                        gamma=g, value=value, method=rep.method)
     return doc
 
 

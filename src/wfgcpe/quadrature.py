@@ -23,7 +23,9 @@ from .errors import DomainError, NonConvergence, require_positive
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-9
 #: Subdivision budget before the engine gives up with ``NonConvergence``.
-MAX_SUBDIVISIONS = 2 ** 16
+#: scipy sizes QUADPACK's work arrays by it on every run; the runs that
+#: settle take at most a few dozen subdivisions.
+MAX_SUBDIVISIONS = 2 ** 10
 
 
 def _tanh_sinh_node(t: float) -> tuple:

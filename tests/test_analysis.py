@@ -8,8 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wfgcpe import analysis
+from wfgcpe import analysis, distributions, measures
 from wfgcpe.analysis import (SimulationConfig, _draw_uniforms, bound_suite,
                              check_order, clt_diagnostic,
                              consistency_profile, convolution_cdf_grid,
@@ -85,24 +87,27 @@ def test_check_order_disp_matches_pairwise_loop(m1, m2):
 
 
 def _st_hr_loop(m1, m2, relation, grid=256):
-    """The per-point "st" and "hr" checks, kept as the reference."""
-    lo = min(m.support[0] for m in (m1, m2))
-    hi = max(m.quantile(1.0 - 1e-10) if math.isinf(m.support[1])
-             else m.support[1] for m in (m1, m2))
-    xs = np.linspace(lo, hi, grid + 2)[1:-1]
+    """The per-point "st" and "hr" checks, kept as the reference, at both
+    models' quantiles at the interior and the tail probabilities."""
+    tails = [2.0 ** -k for k in range(1, 34)]
+    us = list(np.linspace(0.0, 1.0, grid + 2)[1:-1]) + tails + [
+        1.0 - t for t in tails]
+    xs = sorted({float(m.quantile(float(u))) for m in (m1, m2) for u in us}
+                - {math.inf})
     if relation == "st":
         for x in xs:
             if m2.cdf(x) > m1.cdf(x) + 1e-9:
                 return "violated", (float(x),)
         return "holds_on_grid", None
-    ratios, pts = [], []
+    ratios, noise, pts = [], [], []
     for x in xs:
         s1, s2 = m1.survival(x), m2.survival(x)
         if s1 > 1e-12 and s2 > 1e-12:
             ratios.append(s2 / s1)
+            noise.append(4.5e-16 * ratios[-1] * (1.0 / s1 + 1.0 / s2))
             pts.append(float(x))
     for i in range(1, len(ratios)):
-        if ratios[i] < ratios[i - 1] - 1e-9:
+        if ratios[i] < ratios[i - 1] - 1e-9 - noise[i] - noise[i - 1]:
             return "violated", (pts[i],)
     return ("inconclusive" if len(ratios) < 2 else "holds_on_grid"), None
 
@@ -133,6 +138,142 @@ def test_check_order_st_hr_match_per_point_loop(m1, m2, relation):
     verdict = check_order(m1, m2, relation)
     assert (verdict.status, verdict.witness) == _st_hr_loop(m1, m2,
                                                             relation)
+
+
+#: Twelve builtin models: 132 ordered pairs for the dense reference
+ORDER_MODELS = [
+    make_exponential(2.0), make_exponential(1.0), make_exponential(1.2),
+    make_weibull_square(1.0), make_weibull_square(0.5),
+    make_power(1.0, 2.0), make_power(1.0, 0.5), make_power(2.0, 1.0),
+    make_uniform_shifted(0.0), make_uniform_shifted(0.3),
+    make_frechet(1.0, 4.0), make_frechet(2.0, 3.0),
+]
+
+#: 257 * 80 - 1 interior probabilities, 80 per step of the default grid,
+#: and tails 2^(-k/8) down to 2^-33 at both ends
+_DENSE_TAILS = np.exp2(-np.arange(8, 33 * 8 + 1) / 8)
+_DENSE_PROBS = np.concatenate([np.linspace(0.0, 1.0, 257 * 80 + 1)[1:-1],
+                               _DENSE_TAILS, 1.0 - _DENSE_TAILS])
+
+
+def _exact_survival(m, x):
+    """``1 - K`` in a form without cancellation where ``K`` nears 1."""
+    p = m.params
+    if m.family == "exponential":
+        return np.exp(-p["rate"] * x)
+    if m.family == "weibull_square":
+        return np.exp(-p["theta"] * x * x)
+    if m.family == "frechet":
+        return -np.expm1(-p["b"] * x ** -p["c"])
+    if m.family == "power":
+        return -np.expm1(p["c"] * np.log(np.minimum(x / p["b"], 1.0)))
+    return 1.0 - np.clip(x - p["a"], 0.0, 1.0)
+
+
+def _dense_margins(m1, m2):
+    """Largest violation of st, hr and dcx at both models' quantiles at
+    ``_DENSE_PROBS``: ``max(K2 - K1)``, the largest fall of ``Kbar2 /
+    Kbar1`` (``None`` with fewer than two points to compare), and the
+    largest running integral of ``K1 - K2`` by the trapezoid."""
+    xs = np.unique(np.concatenate([m.quantile(_DENSE_PROBS)
+                                   for m in (m1, m2)]))
+    k1, k2 = m1.cdf(xs), m2.cdf(xs)
+    s1, s2 = _exact_survival(m1, xs), _exact_survival(m2, xs)
+    keep = (s1 > 1e-12) & (s2 > 1e-12)
+    r = s2[keep] / s1[keep]
+    x = np.concatenate([[min(m1.support[0], m2.support[0])], xs])
+    gap = np.concatenate([[0.0], k1 - k2])
+    return {"st": np.max(k2 - k1),
+            "hr": np.max(np.maximum.accumulate(r) - r) if r.size > 1 else None,
+            "dcx": np.max(np.cumsum(0.5 * (gap[1:] + gap[:-1]) * np.diff(x)))}
+
+
+@pytest.mark.parametrize("relation", ["st", "hr", "dcx"])
+def test_check_order_matches_a_dense_reference(relation):
+    # either verdict is accepted where the violation is under 1e-6
+    wrong = []
+    for m1 in ORDER_MODELS:
+        for m2 in ORDER_MODELS:
+            if m1 is m2:
+                continue
+            v = _dense_margins(m1, m2)[relation]
+            want = ("inconclusive" if v is None else
+                    "violated" if v > 1e-9 else "holds_on_grid")
+            got = check_order(m1, m2, relation).status
+            if got != want and not (want == "violated" and v <= 1e-6
+                                    and got == "holds_on_grid"):
+                wrong.append((m1.family, m1.params, m2.family, m2.params,
+                              got, want, v))
+    assert wrong == []
+
+
+E1 = make_exponential(1.0)
+#: (model, DFR, log-concave density) for models with known shapes
+SHAPES = [
+    (E1, True, True),
+    (prh_transform(E1, 0.5), True, False),
+    (make_weibull_square(1.0), False, True),
+    (make_power(1.0, 2.0), False, True),
+    (make_uniform_shifted(0.3), False, True),
+    (prh_transform(E1, 2.0), False, True),
+    (make_power(1.0, 0.5), False, False),
+    (make_frechet(1.0, 4.0), False, False),
+    (make_frechet(1.0, 1.0), False, False),
+    (make_frechet(0.5, 2.0), False, False),
+]
+
+
+@pytest.mark.parametrize("model, dfr, log_concave", SHAPES,
+                         ids=[f"{m.family}{m.params}" for m, _, _ in SHAPES])
+def test_shape_checks_on_known_models(model, dfr, log_concave):
+    assert is_dfr(model) == dfr
+    assert analysis._is_log_concave_pdf(model) == log_concave
+
+
+def test_no_order_check_runs_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("an order check called integrate")
+
+    for module in (analysis, distributions, measures):
+        monkeypatch.setattr(module, "integrate", no_quadrature)
+    pairs = [(make_exponential(2.0), make_frechet(1.0, 4.0)),
+             (SQUARE_FLOAT_ONLY, make_uniform_shifted(0.0))]
+    for m1, m2 in pairs:
+        for relation in ("st", "hr", "disp", "dcx"):
+            check_order(m1, m2, relation)
+            check_order(m2, m1, relation)
+
+
+#: Parameters at least 20% apart, either one the larger
+_APART = st.tuples(st.floats(1.2, 5.0), st.booleans())
+
+
+def _spread(base, apart):
+    ratio, first_larger = apart
+    return (base * ratio, base) if first_larger else (base, base * ratio)
+
+
+def _status(holds):
+    return "holds_on_grid" if holds else "violated"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.2, 5.0), _APART)
+def test_exponential_orders_follow_the_rates(rate, apart):
+    r1, r2 = _spread(rate, apart)
+    m1, m2 = make_exponential(r1), make_exponential(r2)
+    assert check_order(m1, m2, "st").status == _status(r1 >= r2)
+    assert check_order(m1, m2, "hr").status == _status(r1 >= r2)
+    assert check_order(m1, m2, "dcx").status == _status(r1 <= r2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.5, 5.0), st.floats(0.2, 6.0), _APART)
+def test_power_orders_follow_the_shapes(b, c, apart):
+    c1, c2 = _spread(c, apart)
+    m1, m2 = make_power(b, c1), make_power(b, c2)
+    assert check_order(m1, m2, "st").status == _status(c1 <= c2)
+    assert check_order(m1, m2, "dcx").status == _status(c1 >= c2)
 
 
 def test_check_order_grid_validation():

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from wfgcpe import cli
+from wfgcpe import cli, measures
 from wfgcpe.analysis import SimulationConfig, clt_diagnostic
 from wfgcpe.cli import TABLE3_PUBLISHED, main
 from wfgcpe.distributions import (make_power, make_uniform_shifted,
@@ -85,6 +85,23 @@ def test_compute_normalized_flag(capsys):
     normalized = [r for r in doc["rows"]
                   if r["measure"] == "normalized_wfgcpe"]
     assert abs(normalized[0]["value"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("dist", [
+    ("power", "--b", "1", "--c", "2"), ("frechet", "--b", "1", "--c", "4")],
+    ids=lambda d: d[0])
+def test_normalized_rows_report_the_entropy_method(capsys, monkeypatch,
+                                                   dist):
+    # both entropies behind the ratio take closed forms: no integral runs
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a closed-form cell called integrate")
+
+    monkeypatch.setattr(measures, "integrate", no_quadrature)
+    code, out, _ = run(capsys, "compute", "--dist", *dist, "--weight", "x",
+                       "--gamma", "1.5", "--normalized", "--format", "json")
+    assert code == 0
+    assert [r["method"] for r in json.loads(out)["rows"]] == [
+        "closed_form", "closed_form"]
 
 
 def test_compute_extreme_gamma_no_crash(capsys):

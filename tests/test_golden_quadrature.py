@@ -16,7 +16,10 @@ import json
 import pathlib
 from collections import Counter
 
+import scipy.integrate
+
 import wfgcpe
+from wfgcpe import quadrature
 from wfgcpe.errors import WfgcpeError
 from wfgcpe.weights import BUILTIN_WEIGHTS
 
@@ -129,6 +132,22 @@ def test_quadrature_grid_is_bit_identical():
     assert got.keys() == expected.keys()
     moved = {k: (expected[k], v) for k, v in got.items() if v != expected[k]}
     assert not moved
+
+
+def test_quadpack_runs_stay_far_inside_the_subdivision_budget(monkeypatch):
+    # traffic that outgrows MAX_SUBDIVISIONS fails here, before it shows
+    # as a NonConvergence in a benchmark pass
+    lasts = []
+    real = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        lasts.append(int(out[2]["last"]))
+        return out
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    grid_values()
+    assert lasts and max(lasts) <= quadrature.MAX_SUBDIVISIONS / 30
 
 
 def _kind(cell):
