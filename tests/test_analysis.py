@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from wfgcpe import analysis, distributions, measures
 from wfgcpe.analysis import (SimulationConfig, _draw_uniforms, bound_suite,
@@ -86,9 +87,26 @@ def test_check_order_disp_matches_pairwise_loop(m1, m2):
     assert (verdict.status, verdict.witness) == _disp_loop(m1, m2)
 
 
+def _exact_survival(m, x):
+    """``1 - K`` in a form without cancellation where ``K`` nears 1."""
+    p = m.params
+    if m is SQUARE_FLOAT_ONLY:
+        return (1.0 - x) * (1.0 + x)
+    if m.family == "exponential":
+        return np.exp(-p["rate"] * x)
+    if m.family == "weibull_square":
+        return np.exp(-p["theta"] * x * x)
+    if m.family == "frechet":
+        return -np.expm1(-p["b"] * x ** -p["c"])
+    if m.family == "power":
+        return -np.expm1(p["c"] * np.log(np.minimum(x / p["b"], 1.0)))
+    return np.clip(1.0 + p["a"] - x, 0.0, 1.0)
+
+
 def _st_hr_loop(m1, m2, relation, grid=256):
     """The per-point "st" and "hr" checks, kept as the reference, at both
-    models' quantiles at the interior and the tail probabilities."""
+    models' quantiles at the interior and the tail probabilities; hr reads
+    survivals free of cancellation, so it needs no rounding allowance."""
     tails = [2.0 ** -k for k in range(1, 34)]
     us = list(np.linspace(0.0, 1.0, grid + 2)[1:-1]) + tails + [
         1.0 - t for t in tails]
@@ -99,15 +117,14 @@ def _st_hr_loop(m1, m2, relation, grid=256):
             if m2.cdf(x) > m1.cdf(x) + 1e-9:
                 return "violated", (float(x),)
         return "holds_on_grid", None
-    ratios, noise, pts = [], [], []
+    ratios, pts = [], []
     for x in xs:
-        s1, s2 = m1.survival(x), m2.survival(x)
+        s1, s2 = _exact_survival(m1, x), _exact_survival(m2, x)
         if s1 > 1e-12 and s2 > 1e-12:
             ratios.append(s2 / s1)
-            noise.append(4.5e-16 * ratios[-1] * (1.0 / s1 + 1.0 / s2))
             pts.append(float(x))
     for i in range(1, len(ratios)):
-        if ratios[i] < ratios[i - 1] - 1e-9 - noise[i] - noise[i - 1]:
+        if ratios[i] < ratios[i - 1] - 1e-9:
             return "violated", (pts[i],)
     return ("inconclusive" if len(ratios) < 2 else "holds_on_grid"), None
 
@@ -156,36 +173,42 @@ _DENSE_PROBS = np.concatenate([np.linspace(0.0, 1.0, 257 * 80 + 1)[1:-1],
                                _DENSE_TAILS, 1.0 - _DENSE_TAILS])
 
 
-def _exact_survival(m, x):
-    """``1 - K`` in a form without cancellation where ``K`` nears 1."""
+def _survival_integral(m, x):
+    """``int_0^x (1 - K)`` in closed form; for Frechet, ``x (1 - K)`` plus
+    the partial mean ``b^(1/c) Gamma(1 - 1/c, b x^-c)``."""
     p = m.params
     if m.family == "exponential":
-        return np.exp(-p["rate"] * x)
+        return -np.expm1(-p["rate"] * x) / p["rate"]
     if m.family == "weibull_square":
-        return np.exp(-p["theta"] * x * x)
+        theta = p["theta"]
+        return 0.5 * np.sqrt(np.pi / theta) * special.erf(np.sqrt(theta) * x)
     if m.family == "frechet":
-        return -np.expm1(-p["b"] * x ** -p["c"])
+        b, c = p["b"], p["c"]
+        return (x * _exact_survival(m, x) + b ** (1.0 / c)
+                * special.gamma(1.0 - 1.0 / c)
+                * special.gammaincc(1.0 - 1.0 / c, b * x ** -c))
     if m.family == "power":
-        return -np.expm1(p["c"] * np.log(np.minimum(x / p["b"], 1.0)))
-    return 1.0 - np.clip(x - p["a"], 0.0, 1.0)
+        t = np.minimum(x, p["b"])
+        return t - t * (t / p["b"]) ** p["c"] / (p["c"] + 1.0)
+    y = np.clip(x - p["a"], 0.0, 1.0)
+    return np.minimum(x, p["a"]) + y - 0.5 * y * y
 
 
 def _dense_margins(m1, m2):
     """Largest violation of st, hr and dcx at both models' quantiles at
     ``_DENSE_PROBS``: ``max(K2 - K1)``, the largest fall of ``Kbar2 /
     Kbar1`` (``None`` with fewer than two points to compare), and the
-    largest running integral of ``K1 - K2`` by the trapezoid."""
+    largest ``int (K1 - K2) = int (Kbar2 - Kbar1)`` from 0, exact."""
     xs = np.unique(np.concatenate([m.quantile(_DENSE_PROBS)
                                    for m in (m1, m2)]))
     k1, k2 = m1.cdf(xs), m2.cdf(xs)
     s1, s2 = _exact_survival(m1, xs), _exact_survival(m2, xs)
     keep = (s1 > 1e-12) & (s2 > 1e-12)
     r = s2[keep] / s1[keep]
-    x = np.concatenate([[min(m1.support[0], m2.support[0])], xs])
-    gap = np.concatenate([[0.0], k1 - k2])
     return {"st": np.max(k2 - k1),
             "hr": np.max(np.maximum.accumulate(r) - r) if r.size > 1 else None,
-            "dcx": np.max(np.cumsum(0.5 * (gap[1:] + gap[:-1]) * np.diff(x)))}
+            "dcx": np.max(_survival_integral(m2, xs)
+                          - _survival_integral(m1, xs))}
 
 
 @pytest.mark.parametrize("relation", ["st", "hr", "dcx"])
@@ -228,6 +251,36 @@ SHAPES = [
 def test_shape_checks_on_known_models(model, dfr, log_concave):
     assert is_dfr(model) == dfr
     assert analysis._is_log_concave_pdf(model) == log_concave
+
+
+#: dcx-ordered pairs with equal means: ``int_0^t (K1 - K2)`` is -e^-t past
+#: 2 for the first, and -e^(-2t) / 2 past 1 for the second, so it rises to
+#: 0 only as t grows without bound
+EQUAL_MEANS = [(make_power(2.0, 1.0), make_exponential(1.0)),
+               (make_uniform_shifted(0.0), make_exponential(2.0))]
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1000])
+@pytest.mark.parametrize("m1, m2", EQUAL_MEANS,
+                         ids=lambda m: f"{m.family}{m.params}")
+def test_dcx_holds_on_equal_mean_pairs(m1, m2, grid):
+    assert check_order(m1, m2, "dcx", grid).status == "holds_on_grid"
+    assert check_order(m2, m1, "dcx", grid).status == "violated"
+
+
+#: DFR models whose ``ln(1 - K)`` is derived from a ``K`` that rounds near
+#: 1: PRH of an exponential below eta = 1, and an exponential from its cdf
+DERIVED_DFR = [prh_transform(E1, eta) for eta in (0.1, 0.3, 0.7, 0.9)] + [
+    make_custom(cdf=lambda x: -math.expm1(-x) if x > 0.0 else 0.0,
+                pdf=lambda x: math.exp(-x) if x > 0.0 else 0.0,
+                quantile=lambda u: -math.log1p(-u), support=(0.0, math.inf))]
+
+
+@pytest.mark.parametrize("grid", [64, 777, 2048])
+@pytest.mark.parametrize("model", DERIVED_DFR,
+                         ids=lambda m: f"{m.family}{m.params}")
+def test_dfr_allows_for_rounding_of_one_minus_k(model, grid):
+    assert is_dfr(model, grid)
 
 
 def test_no_order_check_runs_quadrature(monkeypatch):
