@@ -29,8 +29,9 @@ from .empirical import (_check_moment_args, _estimator_coefficients,
                         _exact_moments)
 from .errors import (ConstraintError, DomainError, PreconditionUnmet,
                      WfgcpeError, require_positive)
-from .measures import _log_kernel_integral, tau, weighted_cpe, wfgcpe
-from .quadrature import Integrand, integrate
+from .measures import (_log_kernel_integral, _quantile_kernel, tau,
+                       weighted_cpe, wfgcpe)
+from .quadrature import Integrand, _end_logs, integrate
 from .weights import (WeightFunction, _array_call, _elementwise, power_weight,
                       weight_one)
 
@@ -269,6 +270,13 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     finite = math.isfinite(hi)
     g1 = _gamma(gamma + 1.0)
     lc, p, q, pdf = model.log_cdf, psi.psi, model.quantile, model.pdf
+    # the mean is the residual kernel at psi = 1: its rule says where the
+    # mean diverges
+    try:
+        _refuse_divergent_tail(model, weight_one(), 1.0, residual=True)
+        finite_mean = True
+    except ConstraintError:
+        finite_mean = False
 
     # (a) -ln K >= 1 - K; 1 - K computed as -expm1(ln K) to keep the tail
     def f_a(x):
@@ -277,40 +285,52 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
             return 0.0
         return p(x) * math.exp(lk) * (-math.expm1(lk)) ** gamma
 
-    rhs_a = integrate(Integrand(f_a, lo, hi)).value / g1
+    f = Integrand(f_a, lo, hi)
+    if not finite:
+        f = _quantile_kernel(model, p, gamma, f, one_minus=True)
+    rhs_a = integrate(f).value / g1
     reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
                             upper=False))
 
     # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}, with
-    # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u)
-    def f_b(u):
-        x = q(u)
-        return (math.log(p(x) * u) + gamma * math.log(-math.log(u))
-                - math.log(pdf(x)))
+    # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u);
+    # on a right-infinite support ln psi(x) + gamma ln(-ln u) + ln(1/lambda)
+    # at exact end offsets, where ln psi = -x for e^{-x}: its -E[X] = -inf
+    # makes the bound 0
+    exp_neg = psi.tag == "expneg" and psi.growth == -math.inf
+    if finite:
+        def f_b(u):
+            x = q(u)
+            return (math.log(p(x) * u) + gamma * math.log(-math.log(u))
+                    - math.log(pdf(x)))
+    else:
+        def f_b(y):
+            lu, lw = _end_logs(y)
+            x, l = model.quantile_logs(lu, lw)
+            log_p = -x if exp_neg else math.log(p(x))
+            return log_p + gamma * math.log(-lu) + l
 
     try:
-        rhs_b = math.exp(integrate(Integrand(f_b, 0.0, 1.0)).value) / g1
+        ln_dh = (-math.inf if exp_neg and not finite_mean else
+                 integrate(Integrand(f_b, 0.0, 1.0, not finite)).value)
+        rhs_b = math.exp(ln_dh) / g1
         reports.append(_verdict("log_sum_entropy_lower_bound", cpe, rhs_b,
                                 upper=False))
     except (WfgcpeError, ValueError, OverflowError,
             ZeroDivisionError) as exc:  # divergent D or H: bound vacuous
         reports.append(_inapplicable("log_sum_entropy_lower_bound", cpe, exc))
 
-    # (c) Jensen on the decreasing convex tau: CPE >= tau(mean); the mean
-    # is the residual kernel at psi = 1, so its rule says where it diverges
+    # (c) Jensen on the decreasing convex tau: CPE >= tau(mean)
     if psi.monotonicity != "decreasing":
         reports.append(_inapplicable("tau_at_mean_lower_bound", cpe,
                                      "weight not decreasing"))
+    elif not finite_mean:
+        reports.append(_inapplicable("tau_at_mean_lower_bound", cpe,
+                                     "infinite mean"))
     else:
-        try:
-            _refuse_divergent_tail(model, weight_one(), 1.0, residual=True)
-        except ConstraintError:
-            reports.append(_inapplicable("tau_at_mean_lower_bound", cpe,
-                                         "infinite mean"))
-        else:
-            rhs_c = tau(model, psi, gamma, model.mean())
-            reports.append(_verdict("tau_at_mean_lower_bound", cpe, rhs_c,
-                                    upper=False))
+        rhs_c = tau(model, psi, gamma, model.mean())
+        reports.append(_verdict("tau_at_mean_lower_bound", cpe, rhs_c,
+                                upper=False))
 
     # (d) comparison against psi(s) times the unweighted measure
     if finite and psi.monotonicity in ("increasing", "decreasing", "constant"):
@@ -365,13 +385,15 @@ def convolution_cdf_grid(m1: DistributionModel, m2: DistributionModel,
     lo2, hi2 = m2.support
     if math.isinf(hi1) or math.isinf(hi2):
         raise DomainError("convolution helper requires finite supports")
-    step1 = (hi1 - lo1) / (grid - 1)
-    d1 = np.array([m1.pdf(x) for x in np.linspace(lo1, hi1, grid)])
-    d2 = np.array([m2.pdf(x) for x in np.linspace(lo2, hi2, grid)])
-    dens = np.convolve(d1, d2) * step1
-    xs = (lo1 + lo2) + np.arange(dens.size) * step1
+    # both densities at one step: the wider support takes ``grid`` points
+    step = max(hi1 - lo1, hi2 - lo2) / (grid - 1)
+    d1, d2 = ([m.pdf(lo + step * k)
+               for k in range(int((hi - lo) / step + 1e-9) + 1)]
+              for m, (lo, hi) in ((m1, m1.support), (m2, m2.support)))
+    dens = np.convolve(d1, d2) * step
+    xs = (lo1 + lo2) + np.arange(dens.size) * step
     cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * step1)])
+        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * step)])
     cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
     return xs, cdf
 

@@ -17,7 +17,7 @@ from scipy.special import gamma as _gamma
 
 from .errors import (ConstraintError, DomainError, ValidationError,
                      require_nonnegative, require_positive)
-from .quadrature import Integrand, integrate
+from .quadrature import Integrand, _end_logs, integrate
 from .weights import WeightFunction
 
 _PROBE_POINTS = 1024
@@ -38,6 +38,9 @@ class DistributionModel:
     Every model carries ``log_cdf`` and ``log_survival`` (``ln K`` and
     ``ln(1 - K)``): as declared by the family, or else derived from this
     model's ``cdf``, also after ``dataclasses.replace`` swaps the ``cdf``.
+    Likewise ``quantile_logs(ln u, ln(1 - u))`` gives ``x = Q(u)`` and
+    ``ln(1/lambda(x))``, ``lambda = k/K``, for the integrals in ``u``: exact
+    in both logs as declared, at ``u = e^{ln u}`` as derived.
 
     ``closed_wfgcpe(p, gamma)`` returns the closed-form entropy for the
     weight ``x^p``, or ``None`` where the family has none for that
@@ -57,6 +60,7 @@ class DistributionModel:
     log_cdf: Optional[Callable[[float], float]] = None
     log_survival: Optional[Callable[[float], float]] = None
     tail_index: Optional[float] = None
+    quantile_logs: Optional[Callable[[float, float], tuple]] = None
 
     def __post_init__(self):
         for name, complement in (("log_cdf", False), ("log_survival", True)):
@@ -64,6 +68,10 @@ class DistributionModel:
             if log is None or getattr(log, "func", None) is _log_of_cdf:
                 object.__setattr__(
                     self, name, partial(_log_of_cdf, self.cdf, complement))
+        ql = self.quantile_logs
+        if ql is None or getattr(ql, "func", None) is _quantile_logs_of:
+            object.__setattr__(self, "quantile_logs", partial(
+                _quantile_logs_of, self.quantile, self.pdf, self.support[1]))
 
     def survival(self, x: float) -> float:
         return 1.0 - self.cdf(x)
@@ -75,9 +83,15 @@ class DistributionModel:
         return self.pdf(x) / k
 
     def expectation(self, g: Callable[[float], float]) -> float:
-        """E[g(X)] through the quantile transform on (0, 1)."""
-        q = self.quantile
-        return integrate(Integrand(lambda u: g(q(u)), 0.0, 1.0)).value
+        """E[g(X)] through the quantile transform on (0, 1), at exact end
+        offsets on a right-infinite support."""
+        if math.isinf(self.support[1]):
+            ql = self.quantile_logs
+            f = Integrand(lambda y: g(ql(*_end_logs(y))[0]), 0.0, 1.0, True)
+        else:
+            q = self.quantile
+            f = Integrand(lambda u: g(q(u)), 0.0, 1.0)
+        return integrate(f).value
 
     def mean(self) -> float:
         return self.expectation(lambda x: x)
@@ -90,6 +104,15 @@ def _log_of_cdf(cdf, complement: bool, x: float) -> float:
     """
     k = 1.0 - cdf(x) if complement else cdf(x)
     return -math.inf if k <= 0.0 else math.log(k)
+
+
+def _quantile_logs_of(quantile, pdf, hi: float, lu: float, lw: float):
+    """``quantile_logs`` from ``quantile`` and ``pdf``: ``x = hi`` where
+    ``u`` rounds to 1, and ``ln(1/lambda) = inf`` where the density is 0."""
+    u = math.exp(lu)
+    x = quantile(u) if u < 1.0 else hi
+    d = pdf(x)
+    return x, lu - math.log(d) if d > 0.0 else math.inf
 
 
 def _log1m_exp(t: float) -> float:
@@ -133,6 +156,8 @@ def make_power(b: float, c: float) -> DistributionModel:
         except ValueError:  # an ndarray
             return np.clip(x / b, 0.0, 1.0) ** c
 
+    log_b_c = math.log(b / c)  # lambda(x) = c / x
+
     return DistributionModel(
         cdf=cdf,
         pdf=lambda x: c * x ** (c - 1.0) / b ** c if 0.0 < x < b else 0.0,
@@ -142,6 +167,7 @@ def make_power(b: float, c: float) -> DistributionModel:
         closed_wfgcpe=closed,
         log_cdf=lambda x: (c * (math.log(x) - math.log(b)) if 0.0 < x < b
                            else (0.0 if x >= b else -math.inf)),
+        quantile_logs=lambda lu, lw: (b * math.exp(lu / c), lu / c + log_b_c),
     )
 
 
@@ -172,6 +198,7 @@ def make_uniform_shifted(a: float) -> DistributionModel:
         closed_wfgcpe=closed,
         log_cdf=lambda x: (math.log(x - a) if a < x < a + 1.0
                            else (0.0 if x >= a + 1.0 else -math.inf)),
+        quantile_logs=lambda lu, lw: (a + math.exp(lu), lu),  # lambda = 1/u
     )
 
 
@@ -203,6 +230,13 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         except (TypeError, ValueError):  # an ndarray
             return (b / -np.log(u)) ** (1.0 / c)
 
+    log_b, log_bc = math.log(b), math.log(b * c)
+
+    def quantile_logs(lu, lw):  # lambda = b c x^{-c-1}; x^{c+1} overflows
+        lx = (log_b - math.log(-lu)) / c
+        return (math.exp(lx) if lx < 709.0 else math.inf,
+                (c + 1.0) * lx - log_bc)
+
     return DistributionModel(
         cdf=cdf,
         pdf=lambda x: b * c * x ** (-c - 1.0) * math.exp(-b * x ** -c)
@@ -214,6 +248,7 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         log_cdf=lambda x: -b * x ** -c if x > 0 else -math.inf,
         log_survival=lambda x: _log1m_exp(b * x ** -c) if x > 0 else 0.0,
         tail_index=c,
+        quantile_logs=quantile_logs,
     )
 
 
@@ -237,6 +272,15 @@ def make_weibull_square(theta: float) -> DistributionModel:
                 raise
             return math.inf
 
+    log_4theta = math.log(4.0 * theta)
+
+    def quantile_logs(lu, lw):
+        # lambda = 2 theta x (1 - u) / u, theta x^2 = t = -ln(1 - u); where
+        # u underflows, ln t = ln u to within u
+        t = -lw
+        lt = math.log(t) if t > 0.0 else lu
+        return math.sqrt(t / theta), lu - lw - 0.5 * (log_4theta + lt)
+
     return DistributionModel(
         cdf=cdf,
         pdf=lambda x: 2.0 * theta * x * math.exp(-theta * x * x)
@@ -247,6 +291,7 @@ def make_weibull_square(theta: float) -> DistributionModel:
         log_cdf=lambda x: _log1m_exp(theta * x * x) if x > 0 else -math.inf,
         log_survival=lambda x: -theta * x * x if x > 0 else 0.0,
         tail_index=math.inf,
+        quantile_logs=quantile_logs,
     )
 
 
@@ -268,6 +313,8 @@ def make_exponential(rate: float) -> DistributionModel:
         except ValueError:  # no log at u >= 1, the support's end
             return math.inf
 
+    log_rate = math.log(rate)  # lambda(x) = rate (1 - u) / u
+
     return DistributionModel(
         cdf=cdf,
         pdf=lambda x: rate * math.exp(-rate * x) if x > 0 else 0.0,
@@ -277,6 +324,7 @@ def make_exponential(rate: float) -> DistributionModel:
         log_cdf=lambda x: _log1m_exp(rate * x) if x > 0 else -math.inf,
         log_survival=lambda x: -rate * x if x > 0 else 0.0,
         tail_index=math.inf,
+        quantile_logs=lambda lu, lw: (-lw / rate, lu - lw - log_rate),
     )
 
 
@@ -342,8 +390,14 @@ def _as_eta(eta) -> float:
 
 
 def prh_transform(base: DistributionModel, eta) -> DistributionModel:
-    """Model with CDF ``K1^eta``, PDF ``eta K1^(eta-1) k1``, same support."""
+    """Model with CDF ``K1^eta``, PDF ``eta K1^(eta-1) k1``, same support;
+    its reversed hazard is ``eta lambda1``, at ``ln K1 = ln K2 / eta``."""
     e = _as_eta(eta)
+    log_e, base_logs = math.log(e), base.quantile_logs
+
+    def quantile_logs(lu, lw):
+        x, l1 = base_logs(lu / e, _log1m_exp(-lu / e))
+        return x, l1 - log_e
 
     def cdf(x):
         return base.cdf(x) ** e
@@ -361,32 +415,34 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
         family="prh", params={"eta": e, "base": base.family, **base.params},
         log_cdf=lambda x, lc=base.log_cdf: e * lc(x),
         tail_index=base.tail_index,  # -ln K1^eta = eta (-ln K1)
+        quantile_logs=quantile_logs,
     )
 
 
 def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
               gamma: float, tilde: bool = False) -> float:
-    """``E`` (``Et`` with ``tilde``) of ``prh_expectation_terms``."""
+    """``E`` (``Et`` with ``tilde``) of ``prh_expectation_terms``, in
+    ``v = K1(x) = u^{1/eta}`` at exact end offsets: ``du = eta v^{eta-1}
+    dv``, ``-ln u = -eta ln v`` and ``1/lambda1 = e^l`` (``quantile_logs``).
+    """
     require_positive(gamma=gamma)
     if tilde and psi.derivative is not None and psi.monotonicity == "constant":
         return 0.0
 
-    q, pdf, cdf = base.quantile, base.pdf, base.cdf
-    p, inv_e, g1 = psi.psi_prime if tilde else psi.psi, 1.0 / e, gamma - 1.0
+    ql, g1, e1 = base.quantile_logs, gamma - 1.0, e - 1.0
+    p, log_kernel = (psi.psi_prime, 1.0) if tilde else (psi.psi, 0.0)
+    log, log1p, exp = math.log, math.log1p, math.exp
 
-    def f(u):
-        v = u ** inv_e
-        if not 0.0 < v < 1.0:  # u rounds onto an endpoint: no mass there
+    def f(y):  # _end_logs, inline
+        lv, lw = (log(y), log1p(-y)) if y > 0.0 else (log1p(y), log(-y))
+        x, l = ql(lv, lw)
+        d = x * p(x)
+        if d == 0.0:  # no mass, where e^l may overflow
             return 0.0
-        x = q(v)
-        if not tilde:
-            return x * p(x) * (-math.log(u)) ** g1
-        dp, d = p(x), pdf(x)
-        if dp == 0.0 or d == 0.0:  # x rounds onto an end: no mass there
-            return 0.0
-        return x * dp * (-math.log(u)) ** g1 / (d / cdf(x))
+        return d * exp(g1 * log(-lv) + e1 * lv + log_kernel * l)
 
-    return float(integrate(Integrand(f, 0.0, 1.0)).value / _gamma(gamma))
+    q = integrate(Integrand(f, 0.0, 1.0, True))
+    return float(e ** gamma * q.value / _gamma(gamma))
 
 
 def prh_expectation_terms(base: DistributionModel, eta,

@@ -6,7 +6,8 @@ The central object is the weighted fractional cumulative past entropy
 
 together with its discrete, normalized, dynamic, residual and
 fractional-integral forms. Closed forms are dispatched through the model
-when available; everything else goes through adaptive quadrature.
+when available; everything else goes through adaptive quadrature: in x on
+a finite support, and in ``u = K(x)`` on (0, 1) on a right-infinite one.
 """
 
 from __future__ import annotations
@@ -37,17 +38,21 @@ class MeasureReport:
 
 
 def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
-                         damped: bool = True,
+                         damped: bool = True, model=None,
+                         residual: bool = False,
                          ) -> tuple[float, QuadratureResult]:
     """``(1/Gamma(gamma+1)) int_lo^hi psi(x) e^{-nl} nl^gamma dx`` with
     ``nl = -log_k(x)``, and the quadrature result behind it;
-    ``damped=False`` drops ``e^{-nl}``.
+    ``damped=False`` drops ``e^{-nl}``. Where ``hi = inf`` and the
+    ``model`` of ``log_k`` is given, ``_quantile_kernel`` integrates, and
+    this integrand is its fallback.
 
-    ``log_k`` is a model's exact ``log_cdf`` or ``log_survival``, so tails
-    where ``K`` rounds to 1 keep their mass, and ``psi`` a float weight;
-    a node runs one closure over them. ``0 ln 0 = 0`` where ``log_k`` is 0
-    or infinite. A divergent integral ends in ``NonConvergence`` from
-    ``integrate``, a negative extrapolated value included.
+    ``log_k`` is a model's exact ``log_cdf`` or ``log_survival`` (then
+    ``residual``), so tails where ``K`` rounds to 1 keep their mass, and
+    ``psi`` a float weight; a node runs one closure over them. ``0 ln 0 =
+    0`` where ``log_k`` is 0 or infinite. A divergent integral ends in
+    ``NonConvergence`` from ``integrate``, a negative extrapolated value
+    included.
     """
     if damped:
         def f(x):
@@ -62,8 +67,55 @@ def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
                 return 0.0
             return psi(x) * (-lk) ** gamma
 
-    q = integrate(Integrand(f, lo, hi))
+    f = Integrand(f, lo, hi)
+    # in u, 1 - u must stay a normal float at every node: 1 - K(lo) > e^-64
+    if model is not None and math.isinf(hi) and model.log_survival(lo) > -64:
+        f = _quantile_kernel(model, psi, gamma, f, damped, residual=residual)
+    q = integrate(f)
     return float(q.value / _gamma(gamma + 1.0)), q
+
+
+def _quantile_kernel(model: DistributionModel, psi, gamma: float,
+                     fallback: Integrand, damped: bool = True,
+                     one_minus: bool = False, residual: bool = False,
+                     ) -> Integrand:
+    """The kernel of ``_log_kernel_integral`` over ``fallback``'s (lo, inf)
+    in ``u = K(x)`` at exact end offsets, with ``fallback``, the same
+    integral in x, for QUADPACK; ``one_minus`` puts ``1 - K`` for
+    ``-ln K``. Where the integrand grows like ``(1 - u)^{-1+e}``, small e
+    leaves mass beyond the nodes' 1e-275 that the rule does not settle on,
+    and QAGI can reach.
+
+    With ``l = ln(1/lambda(x))`` from ``quantile_logs``, ``K dx = e^l du``
+    and ``(1 - K) dx = e^{l - ln u + ln(1 - u)} du``: ``psi K (-ln K)^gamma
+    dx = psi(x) e^{gamma ln(-ln u) + l} du``. ``u = k0 + w0 v``, ``k0 =
+    K(lo)``, maps (k0, 1) onto (0, 1) with ``1 - u = w0 (1 - v)``, which
+    keeps both logs exact (``u`` as ``1 - w0 (1 - v)`` near 1), and
+    ``du = w0 dv``.
+    """
+    ql, lw0 = model.quantile_logs, model.log_survival(fallback.lo)
+    k0, w0 = -math.expm1(lw0), math.exp(lw0)
+    # the exponent: c ln(-ln u) (of -ln(1 - u) if residual) + a ln u
+    # + b ln(1 - u) + l + ln w0
+    c, a, b = ((0.0, 0.0, gamma) if one_minus else
+               (gamma, -1.0, 1.0) if residual else
+               (gamma, 0.0 if damped else -1.0, 0.0))
+    log, log1p, exp = math.log, math.log1p, math.exp
+
+    def f(y):
+        if y > 0.0:
+            lw = lw0 + log1p(-y)
+            lu = log(k0 + w0 * y) if k0 < 0.5 else log1p(-w0 * (1.0 - y))
+        else:
+            lu, lw = log1p(w0 * y), lw0 + log(-y)
+        x, l = ql(lu, lw)
+        p = psi(x)
+        if p == 0.0:  # no mass, where e^l may overflow
+            return 0.0
+        return p * exp(c * log(-(lw if residual else lu)) + a * lu + b * lw
+                       + l + lw0)
+
+    return Integrand(f, 0.0, 1.0, True, fallback)
 
 
 def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
@@ -91,7 +143,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
                               f"weight {psi.tag!r}")
 
     value, q = _log_kernel_integral(model.log_cdf, psi.psi, gamma,
-                                    *model.support)
+                                    *model.support, model=model)
     return MeasureReport(value, QUADRATURE, q)
 
 
@@ -155,7 +207,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
         return 0.0
     _refuse_divergent_tail(model, psi, gamma)
     return _log_kernel_integral(model.log_cdf, psi.psi, gamma, max(u, lo),
-                                hi, damped=False)[0]
+                                hi, damped=False, model=model)[0]
 
 
 def wfgcre(model: DistributionModel, psi: WeightFunction,
@@ -164,7 +216,8 @@ def wfgcre(model: DistributionModel, psi: WeightFunction,
     require_positive(gamma=gamma)
     _refuse_divergent_tail(model, psi, gamma, residual=True)
     return _log_kernel_integral(model.log_survival, psi.psi, gamma,
-                                *model.support)[0]
+                                *model.support, model=model,
+                                residual=True)[0]
 
 
 def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
@@ -179,7 +232,7 @@ def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
     _refuse_divergent_tail(model, psi, gamma)
     p = psi.psi
     return a * _log_kernel_integral(model.log_cdf, lambda x: p(a * x + b),
-                                    gamma, *model.support)[0]
+                                    gamma, *model.support, model=model)[0]
 
 
 def rl_fractional_integral(f: Callable[[float], float],

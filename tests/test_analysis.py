@@ -475,6 +475,32 @@ def test_convolution_cdf_grid():
     assert cdf[0] == 0.0 and cdf[-1] == 1.0
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_convolution_of_supports_of_different_widths(first):
+    # uniform(0, 1) + uniform(0, 2): K(1) = 1/4, K(2) = 3/4, support (0, 3);
+    # each density once took the other's step, for K(1) = 1/2 or 1/8
+    pair = (make_power(1.0, 1.0), make_power(2.0, 1.0))
+    xs, cdf = convolution_cdf_grid(pair[first], pair[1 - first])
+    assert abs(xs[-1] - 3.0) <= 2.0 / 4095
+    assert np.allclose(np.interp([1.0, 2.0], xs, cdf), [0.25, 0.75],
+                       atol=1e-3)
+
+
+def test_log_sum_bound_in_quantile_space(monkeypatch):
+    # ln psi = -x for e^{-x}: Frechet(1, 4) settles on the rule, and with
+    # c <= 1 the infinite mean makes the bound 0 (once "math domain error")
+    quad = []
+    monkeypatch.setattr("scipy.integrate.quad",
+                        lambda *a, **k: quad.append(a))
+    for c, zero in ((4.0, False), (1.0, True), (0.8, True)):
+        reports = {r.name: r for r in bound_suite(make_frechet(1.0, c),
+                                                  weight_exp_neg(), 2.75)}
+        rep = reports["log_sum_entropy_lower_bound"]
+        assert rep.holds and rep.note == ""
+        assert (rep.rhs == 0.0) == zero and rep.rhs < rep.lhs
+    assert not quad
+
+
 def test_prh_bound_check():
     base = make_uniform_shifted(0.0)
     rng = np.random.default_rng(17)

@@ -381,3 +381,25 @@ def test_replace_cdf_derives_the_logs_again():
         assert cube.log_survival(x) == -_neg_log(1.0 - k), x
     # no stale log closes over the old cdf
     assert cube.log_cdf(0.5) == math.log(0.125) != m.log_cdf(0.5)
+
+
+@pytest.mark.parametrize("model", [
+    make_power(1.3, 2.2), make_uniform_shifted(0.7), make_frechet(1.3, 2.2),
+    make_weibull_square(0.6), make_exponential(1.7),
+    prh_transform(make_weibull_square(0.6), 0.4), _square_model()],
+    ids=lambda m: m.family)
+def test_quantile_logs_give_the_quantile_and_the_reversed_hazard(model):
+    # (x, ln(1/lambda)) at ln u, ln(1 - u): declared, composed or derived
+    for u in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        x, l = model.quantile_logs(math.log(u), math.log1p(-u))
+        assert abs(x - model.quantile(u)) <= 1e-12 * model.quantile(u)
+        assert abs(l - math.log(u / model.pdf(x))) <= 1e-9 * max(1.0, abs(l))
+
+
+def test_replace_quantile_derives_the_quantile_logs_again():
+    m = _square_model()
+    cube = dataclasses.replace(m, cdf=lambda x: min(max(x, 0.0), 1.0) ** 3,
+                               pdf=lambda x: 3.0 * x * x if 0 < x < 1 else 0,
+                               quantile=lambda u: u ** (1.0 / 3.0))
+    x, l = cube.quantile_logs(math.log(0.125), math.log1p(-0.125))
+    assert abs(x - 0.5) <= 1e-15 and abs(l - math.log(0.125 / 0.75)) <= 1e-15

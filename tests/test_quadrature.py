@@ -16,7 +16,7 @@ from wfgcpe.errors import DomainError, NonConvergence
 from wfgcpe.measures import CLOSED_FORM, QUADRATURE
 from wfgcpe.quadrature import (_TANH_SINH, _TANH_SINH_MIN_LEVEL,
                                DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
-                               integrate)
+                               _end_logs, integrate)
 from wfgcpe.weights import BUILTIN_WEIGHTS
 
 GAMMAS = (0.25, 0.5, 1.0, 1.5, 2.75)
@@ -174,13 +174,13 @@ def test_divergent_integral_raises_without_a_warning(f):
 
 
 # (model, weight, gamma) -> evaluations / subdivisions: the tanh-sinh
-# nodes and settled level on the two finite supports, QUADPACK's ``neval``
-# and ``last`` on the three right-infinite ones; all must stay put
+# nodes and settled level, in x on the two finite supports and in u = K(x)
+# on the three right-infinite ones; all must stay put
 EVALUATION_COUNTS = [
     (wfgcpe.make_power(1.0, 2.0), wfgcpe.weight_x(), 0.5, 115, 4),
-    (wfgcpe.make_frechet(1.0, 4.0), wfgcpe.weight_x_squared(), 1.5, 225, 8),
-    (wfgcpe.make_weibull_square(1.0), wfgcpe.weight_sqrt_x(), 0.25, 255, 9),
-    (wfgcpe.make_exponential(1.0), wfgcpe.weight_exp_neg(), 2.75, 285, 10),
+    (wfgcpe.make_frechet(1.0, 4.0), wfgcpe.weight_x_squared(), 1.5, 69, 3),
+    (wfgcpe.make_weibull_square(1.0), wfgcpe.weight_sqrt_x(), 0.25, 83, 3),
+    (wfgcpe.make_exponential(1.0), wfgcpe.weight_exp_neg(), 2.75, 55, 3),
     (wfgcpe.make_uniform_shifted(0.5), wfgcpe.weight_one(), 1.0, 51, 3),
 ]
 
@@ -189,16 +189,20 @@ EVALUATION_COUNTS = [
                          EVALUATION_COUNTS)
 def test_evaluations_are_quadpack_neval_and_python_calls(
         model, weight, gamma, evaluations, subdivisions):
+    # the one model callable each node calls: ln K in x, the quantile in u
     calls = [0]
-    log_cdf = model.log_cdf
+    name = ("log_cdf" if math.isfinite(model.support[1])
+            else "quantile_logs")
+    inner = getattr(model, name)
 
-    def counted(x):
+    def counted(*args):
         calls[0] += 1
-        return log_cdf(x)
+        return inner(*args)
 
-    model = dataclasses.replace(model, log_cdf=counted)
+    model = dataclasses.replace(model, **{name: counted})
     q = wfgcpe.wfgcpe(model, weight, gamma, method="quadrature").quadrature
     assert (q.evaluations, q.subdivisions) == (evaluations, subdivisions)
+    assert q.rule == "tanh_sinh"
     assert calls[0] == evaluations
 
 
@@ -342,3 +346,27 @@ def test_no_node_is_an_endpoint(monkeypatch, lo, hi):
         pass
     assert len(calls) == 1
     assert all(lo < x < hi for x in seen)
+
+
+def test_end_offsets_keep_one_minus_u_exact():
+    # (1 - u)^-0.9 holds 0.25 of its 10 within 1e-16 of u = 1, where 1 - u
+    # rounds; as offsets, the nodes reach 1.5e-275 of the end
+    q = integrate(Integrand(lambda y: math.exp(-0.9 * _end_logs(y)[1]),
+                            0.0, 1.0, True))
+    assert q.rule == "tanh_sinh" and abs(q.value - 10.0) <= 1e-12
+
+
+def test_quadpack_takes_end_offsets_too(monkeypatch):
+    # the kink keeps the rule from settling; QUADPACK's nodes reach the
+    # integrand as offsets, and none as 0, an end
+    seen = []
+
+    def f(y):
+        seen.append(y)
+        return abs((y if y > 0.0 else 1.0 + y) - 0.3)
+
+    calls = _count_quadpack(monkeypatch)
+    q = integrate(Integrand(f, 0.0, 1.0, True))
+    assert len(calls) == 1 and q.rule == "quadpack"
+    assert abs(q.value - 0.29) < 1e-14
+    assert 0.0 not in seen and min(seen) < 0.0 < max(seen) <= 0.5

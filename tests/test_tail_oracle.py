@@ -2,12 +2,15 @@
 and exponential families and for the Frechet forms, typed refusals of
 divergent Frechet integrals before any quadrature (the PRH identities
 and expectation terms included), the PRH decomposition against the transformed model, and the
-closed forms by weight exponent against mpmath."""
+closed forms by weight exponent against mpmath. The right-infinite kernels
+and the PRH terms run in u = K(x) on the tanh-sinh rule at exact end
+offsets."""
 
 import math
 
 import mpmath as mp
 import pytest
+import scipy.integrate
 
 from wfgcpe import cli, distributions, measures
 from wfgcpe.cli import EXIT_NONCONVERGENCE, EXIT_USAGE, main
@@ -304,20 +307,9 @@ PRH_IDENTITIES = {
     "prh_n_step": (2, lambda eta, psi, g, prior:
                    prh_n_step(FRECHET, eta, psi, g, 2, prior)),
 }
-#: The one finite cell where the quantile-space PRH integrals give up
-#: although the transformed model's entropy is finite (2.5931979096).
-PRH_NONCONVERGENT = (1.7, "sqrtx", 0.5)
-
-
-def _prh_cell(identity, eta, name, gamma):
-    marks = []
-    if (eta, name, gamma) == PRH_NONCONVERGENT:
-        marks = pytest.mark.xfail(raises=NonConvergence, strict=True,
-                                  reason="E(gamma) integrand singular at u=1")
-    return pytest.param(identity, eta, name, gamma, marks=marks)
-
-
-PRH_GRID = [_prh_cell(i, eta, w, g) for i in PRH_IDENTITIES
+#: (1.7, sqrtx, 0.5) integrates (1 - u)^{-7/8} at u = 1 in E(gamma); it
+#: holds (2.5931979096) because the rule passes 1 - u to the integrand.
+PRH_GRID = [(i, eta, w, g) for i in PRH_IDENTITIES
             for eta in (0.5, 1.7, 3.0) for w in ("one", "x", "x2", "sqrtx")
             for g in (0.25, 0.5)]
 
@@ -348,17 +340,12 @@ ET_GRID = [(name, g) for name in ("x", "x2", "sqrtx")
            for g in (0.25, 0.5, 1.0, 1.5)]
 
 
-@pytest.mark.parametrize("name,gamma", [
-    cell if cell != ("sqrtx", 1.5) else pytest.param(
-        *cell, marks=pytest.mark.xfail(
-            raises=NonConvergence, strict=True,
-            reason="quantile-space Et; finite (2.20421822318)"))
-    for cell in ET_GRID])
+@pytest.mark.parametrize("name,gamma", ET_GRID)
 def test_prh_expectation_terms_refuse_a_divergent_et(monkeypatch, name,
                                                      gamma):
     """11 of the 12 cells diverge in Et and are refused, naming Et and its
     order gamma - 1, without a quadrature call; the finite one,
-    sqrt(x) at gamma = 1.5, still ends in NonConvergence."""
+    sqrt(x) at gamma = 1.5, equals its closed form."""
     psi = BUILTIN_WEIGHTS[name]()
     if gamma - 1.0 > (psi.growth + 1.0) / 4.0:
         # Et = eta^{11/8} Gamma(1/8) / (8 Gamma(3/2)) for sqrt(x), g = 1.5
@@ -465,3 +452,108 @@ def test_builtin_tag_without_growth_takes_quadrature():
     closed = wfgcpe(model, BUILTIN_WEIGHTS["x"](), 0.5)
     assert closed.method == "closed_form"
     assert abs(report.value - closed.value) <= 1e-9 * closed.value
+
+
+# ---------------------------------------------------------------------------
+# Right-infinite kernels and PRH terms in u = K(x), at exact end offsets
+# ---------------------------------------------------------------------------
+
+#: The 69 finite cells of Frechet(1, 4), Weibull shape 2 and exponential(1)
+RIGHT_INFINITE_CELLS = [
+    (family, w, g) for family in ("exponential", "frechet", "weibull_square")
+    for w in sorted(MP_WEIGHTS) for g in GAMMAS
+    if not (family == "frechet" and _diverges(w, g))]
+
+
+@pytest.mark.parametrize("family,weight,gamma", RIGHT_INFINITE_CELLS)
+def test_right_infinite_cells_hold_1e12_without_quadpack(family, weight,
+                                                         gamma):
+    # QAGI's worst error here was 1.1e-12 (exponential, psi = 1, 0.25)
+    if family == "frechet":
+        model, expected = FRECHET, _mp_frechet("wfgcpe", weight, gamma)
+    else:
+        model, t_of_x = FAMILIES[family]
+        expected = _mp_wfgcpe(t_of_x, weight, gamma)
+    report = wfgcpe(model, BUILTIN_WEIGHTS[weight](), gamma,
+                    method="quadrature")
+    assert report.quadrature.rule == "tanh_sinh"
+    assert abs(report.value - expected) <= 1e-12 * expected
+
+
+PRH_BASES = {
+    "exponential": make_exponential(1.0), "frechet": FRECHET,
+    "weibull_square": WEIBULL, "power(1,2)": make_power(1.0, 2.0),
+    "power(2,0.5)": make_power(2.0, 0.5),
+    "uniform(0.5)": make_uniform_shifted(0.5),
+    "uniform(3)": make_uniform_shifted(3.0),
+}
+
+
+@pytest.mark.parametrize("base", sorted(PRH_BASES))
+def test_prh_decomposition_on_seven_bases(monkeypatch, base):
+    """prh_wfgcpe against the transformed model's entropy at 1e-8, over
+    eta in {0.3, 0.5, 1.7, 3}, the builtin weights and GAMMAS: 676 finite
+    cells, none of which runs QUADPACK; the 24 divergent Frechet cells are
+    refused without a quadrature call."""
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("QUADPACK ran")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quadpack)
+    model = PRH_BASES[base]
+    for eta in (0.3, 0.5, 1.7, 3.0):
+        transformed = prh_transform(model, eta)
+        for name in sorted(MP_WEIGHTS):
+            psi = BUILTIN_WEIGHTS[name]()
+            for gamma in GAMMAS:
+                if base == "frechet" and _diverges(name, gamma):
+                    with monkeypatch.context() as m:
+                        _forbid_quadrature(m)
+                        with pytest.raises(ConstraintError):
+                            prh_wfgcpe(model, eta, psi, gamma)
+                    continue
+                direct = wfgcpe(transformed, psi, gamma, method="quadrature")
+                got = prh_wfgcpe(model, eta, psi, gamma)
+                assert direct.quadrature.rule == "tanh_sinh"
+                assert abs(got - direct.value) <= 1e-8 * direct.value, (
+                    eta, name, gamma)
+
+
+def test_prh_terms_of_exponential_at_order_1_5():
+    # once NonConvergence: the quantile's argument rounded onto 1, and
+    # 1/lambda1 with it; the values are x-space mpmath's to 2.4e-16
+    terms = prh_expectation_terms(make_exponential(1.0), 1.7,
+                                  BUILTIN_WEIGHTS["x2"](), 1.5)
+    assert abs(terms.e_term - 2.772853233931677) <= 1e-14
+    assert abs(terms.e_tilde_term - 75.952751737838) <= 1e-12
+
+
+@pytest.mark.parametrize("family,u", [("exponential", 30.0),
+                                      ("exponential", 60.0),
+                                      ("frechet", 800.0)])
+def test_tau_deep_in_the_tail(family, u):
+    # u = K(x) on (K(lo), 1) with 1 - K(lo) below 1e-11: ln u is taken
+    # from 1 - u; QAGI's values were up to 7% off, inside abs_tol
+    model = FRECHET if family == "frechet" else FAMILIES[family][0]
+    if family == "frechet":  # (x^-4)^1.5 = x^-6
+        expected = u ** -5 / 5 / math.gamma(2.5)
+    else:
+        with mp.workdps(30):  # in t = e^{-x}: -ln K = -ln(1 - t)
+            expected = float(mp.quad(lambda t: (-mp.log1p(-t)) ** 1.5 / t,
+                                     [0, mp.exp(-u)]) / mp.gamma(2.5))
+    got = tau(model, BUILTIN_WEIGHTS["one"](), 1.5, u)
+    assert abs(got - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("b,c,name", [(0.7, 5.0, "one"), (0.7, 5.0, "x2"),
+                                      (3.0, 10.0, "sqrtx")])
+def test_near_the_divergence_bound_the_tail_goes_to_qagi(b, c, name):
+    # at 1.05 (p + 1) / c the integrand in u grows like (1 - u)^{-1 + e},
+    # e = 0.05 (p + 1) / c <= 0.03: a share 1e-275^e of its mass lies past
+    # the rule's last node, and QUADPACK takes the same integral in x
+    psi = BUILTIN_WEIGHTS[name]()
+    gamma = 1.05 * (psi.growth + 1.0) / c
+    model = make_frechet(b, c)
+    report = wfgcpe(model, psi, gamma, method="quadrature")
+    expected = wfgcpe(model, psi, gamma, method="closed_form").value
+    assert report.quadrature.rule == "quadpack"
+    assert abs(report.value - expected) <= 1e-9 * expected
