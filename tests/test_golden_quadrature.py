@@ -116,6 +116,18 @@ def grid_values() -> dict:
                 out[f"prh_n_step/{f}/{eta}/{name}/{n}"] = _cell(
                     lambda: wfgcpe.prh_n_step(fam[f], eta, w[name], 1.5, n,
                                               0.3))
+    for f in ("frechet", "weibull_square", "exponential", "custom"):
+        for name in ("x", "sqrtx", "expneg"):
+            out[f"expectation/{f}/{name}"] = _cell(
+                lambda: fam[f].expectation(w[name].psi))
+    for f, eta in (("power", 1.5), ("frechet", 2.0),
+                   ("weibull_square", 2.0), ("exponential", 0.8)):
+        for name in ("one", "x", "sqrtx", "expneg"):
+            for g in (0.5, 1.5, 2.75):
+                for term in ("e_term", "e_tilde_term"):
+                    out[f"prh_terms/{f}/{eta}/{name}/{g}/{term}"] = _cell(
+                        lambda: getattr(wfgcpe.prh_expectation_terms(
+                            fam[f], eta, w[name], g), term))
     for (r1, r2) in ((2.0, 1.0), (1.5, 0.5)):
         for name in ("one", "x", "expneg"):
             for g in (0.5, 1.5):
