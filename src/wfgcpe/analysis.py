@@ -29,8 +29,7 @@ from .empirical import (_check_moment_args, _estimator_coefficients,
                         _exact_moments)
 from .errors import (ConstraintError, DomainError, PreconditionUnmet,
                      WfgcpeError, require_positive)
-from .measures import (_log_kernel_integral, _quantile_kernel, tau,
-                       weighted_cpe, wfgcpe)
+from .measures import _log_kernel_integral, tau, weighted_cpe, wfgcpe
 from .quadrature import Integrand, _end_logs, integrate
 from .weights import (WeightFunction, _array_call, _elementwise, power_weight,
                       weight_one)
@@ -87,6 +86,7 @@ def _verdict(name: str, lhs: float, rhs: float, upper: bool,
     """The check ``lhs <= rhs`` (an upper bound) or ``lhs >= rhs`` to
     within ``tol``, named with any ``{}`` in ``name`` filled by ``upper``
     or ``lower``; the slack is positive when the check holds."""
+    lhs, rhs = float(lhs), float(rhs)  # scipy's gamma gives numpy floats
     slack = rhs - lhs if upper else lhs - rhs
     holds = lhs <= rhs + tol if upper else lhs >= rhs - tol
     return CheckReport(name.format("upper" if upper else "lower"), lhs, rhs,
@@ -225,21 +225,21 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
     mu1, mu2 = m1.mean(), m2.mean()
     if abs(mu1 - mu2) <= 1e-9:
         raise PreconditionUnmet(f"means are equal ({mu1})")
+    # entropy first: its gate, not the tau integrals, refuses a divergent tail
+    lhs = wfgcpe(m1, psi, gamma).value
     lo = min(m.support[0] for m in (m1, m2))
-    hi = max(m.quantile(1.0 - 1e-10) if math.isinf(m.support[1])
-             else m.support[1] for m in (m1, m2))
+    hi = max(m.support[1] for m in (m1, m2))
 
     # E[tau1(X2)] collapses by Fubini to a single integral against K2.
     lc, p, k1, k2 = m1.log_cdf, psi.psi, m1.cdf, m2.cdf
     e_tau_x2 = _log_kernel_integral(lc, lambda x: p(x) * k2(x), gamma, lo,
-                                    hi, damped=False)[0]
+                                    hi, "tau", m1)[0]
 
     # E[tau1'(V)] with k_V = (K1 - K2) / (E X2 - E X1); tau1' <= 0.
     e_tau_prime_v = -_log_kernel_integral(
-        lc, lambda x: p(x) * (k1(x) - k2(x)), gamma, lo, hi,
-        damped=False)[0] / (mu2 - mu1)
+        lc, lambda x: p(x) * (k1(x) - k2(x)), gamma, lo, hi, "tau",
+        m1)[0] / (mu2 - mu1)
 
-    lhs = wfgcpe(m1, psi, gamma).value
     rhs = e_tau_x2 + e_tau_prime_v * (mu1 - mu2)
     identity = CheckReport("mean_value_identity", lhs, rhs,
                            abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs)),
@@ -278,17 +278,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     except ConstraintError:
         finite_mean = False
 
-    # (a) -ln K >= 1 - K; 1 - K computed as -expm1(ln K) to keep the tail
-    def f_a(x):
-        lk = lc(x)
-        if lk >= 0.0 or lk == -math.inf:
-            return 0.0
-        return p(x) * math.exp(lk) * (-math.expm1(lk)) ** gamma
-
-    f = Integrand(f_a, lo, hi)
-    if not finite:
-        f = _quantile_kernel(model, p, gamma, f, one_minus=True)
-    rhs_a = integrate(f).value / g1
+    # (a) -ln K >= 1 - K
+    rhs_a = _log_kernel_integral(lc, p, gamma, lo, hi, "one_minus", model)[0]
     reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
                             upper=False))
 

@@ -17,7 +17,7 @@ from scipy.special import gamma as _gamma
 
 from .errors import (ConstraintError, DomainError, ValidationError,
                      require_nonnegative, require_positive)
-from .quadrature import Integrand, _end_logs, integrate
+from .quadrature import Integrand, integrate
 from .weights import WeightFunction
 
 _PROBE_POINTS = 1024
@@ -79,15 +79,15 @@ class DistributionModel:
     def reversed_hazard(self, x: float) -> float:
         k = self.cdf(x)
         if k <= 0.0:
-            raise DomainError(f"reversed hazard undefined where K(x)=0 (x={x})")
+            raise DomainError(
+                f"reversed hazard undefined where K(x)=0 (x={x})")
         return self.pdf(x) / k
 
     def expectation(self, g: Callable[[float], float]) -> float:
         """E[g(X)] through the quantile transform on (0, 1), at exact end
         offsets on a right-infinite support."""
         if math.isinf(self.support[1]):
-            ql = self.quantile_logs
-            f = Integrand(lambda y: g(ql(*_end_logs(y))[0]), 0.0, 1.0, True)
+            f = _quantile_kernel(self, g, self.support[0], (0.0,) * 5)
         else:
             q = self.quantile
             f = Integrand(lambda u: g(q(u)), 0.0, 1.0)
@@ -113,6 +113,44 @@ def _quantile_logs_of(quantile, pdf, hi: float, lu: float, lw: float):
     x = quantile(u) if u < 1.0 else hi
     d = pdf(x)
     return x, lu - math.log(d) if d > 0.0 else math.inf
+
+
+def _quantile_kernel(model: DistributionModel, h: Callable[[float], float],
+                     lo: float, powers: tuple,
+                     fallback: Optional[Integrand] = None) -> Integrand:
+    """The integral over ``x > lo`` of a kernel, in ``u = K(x)`` on (0, 1)
+    at exact end offsets. QUADPACK integrates ``fallback``, the same
+    integral in x, where the rule does not settle: growth like
+    ``(1 - u)^{-1+e}`` leaves mass beyond the nodes' 1e-275.
+
+    With ``powers = (c, r, a, b, m)`` the integrand is ``h(x) (-ln u)^c
+    (-ln(1 - u))^r u^a (1 - u)^b e^{m l}`` at ``x = Q(u)``, ``l =
+    ln(1/lambda(x))`` from ``quantile_logs``; a zero power's factor is not
+    evaluated. As ``K dx = e^l du``, ``psi K (-ln K)^gamma dx`` has powers
+    ``(gamma, 0, 0, 0, 1)``. ``u = k0 + w0 v``, ``k0 = K(lo)``, maps (k0,
+    1) onto (0, 1) with ``1 - u = w0 (1 - v)``, which keeps both logs exact
+    (``u`` as ``1 - w0 (1 - v)`` near 1), and ``du = w0 dv``.
+    """
+    c, r, a, b, m = powers
+    ql, lw0 = model.quantile_logs, model.log_survival(lo)
+    k0, w0 = -math.expm1(lw0), math.exp(lw0)
+    log, log1p, exp = math.log, math.log1p, math.exp
+
+    def f(y):
+        if y > 0.0:
+            lw = lw0 + log1p(-y)
+            lu = log(k0 + w0 * y) if k0 < 0.5 else log1p(-w0 * (1.0 - y))
+        else:
+            lu, lw = log1p(w0 * y), lw0 + log(-y)
+        x, l = ql(lu, lw)
+        p = h(x)
+        if p == 0.0:  # no mass, where e^l may overflow
+            return 0.0
+        return p * exp((c * log(-lu) if c else 0.0)
+                       + (r * log(-lw) if r else 0.0) + a * lu + b * lw
+                       + (m * l if m else 0.0) + lw0)
+
+    return Integrand(f, 0.0, 1.0, True, fallback)
 
 
 def _log1m_exp(t: float) -> float:
@@ -422,26 +460,16 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
 def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
               gamma: float, tilde: bool = False) -> float:
     """``E`` (``Et`` with ``tilde``) of ``prh_expectation_terms``, in
-    ``v = K1(x) = u^{1/eta}`` at exact end offsets: ``du = eta v^{eta-1}
-    dv``, ``-ln u = -eta ln v`` and ``1/lambda1 = e^l`` (``quantile_logs``).
+    ``v = K1(x) = u^{1/eta}``: ``du = eta v^{eta-1} dv``, ``-ln u = -eta
+    ln v`` and ``1/lambda1 = e^l``.
     """
     require_positive(gamma=gamma)
     if tilde and psi.derivative is not None and psi.monotonicity == "constant":
         return 0.0
-
-    ql, g1, e1 = base.quantile_logs, gamma - 1.0, e - 1.0
-    p, log_kernel = (psi.psi_prime, 1.0) if tilde else (psi.psi, 0.0)
-    log, log1p, exp = math.log, math.log1p, math.exp
-
-    def f(y):  # _end_logs, inline
-        lv, lw = (log(y), log1p(-y)) if y > 0.0 else (log1p(y), log(-y))
-        x, l = ql(lv, lw)
-        d = x * p(x)
-        if d == 0.0:  # no mass, where e^l may overflow
-            return 0.0
-        return d * exp(g1 * log(-lv) + e1 * lv + log_kernel * l)
-
-    q = integrate(Integrand(f, 0.0, 1.0, True))
+    p = psi.psi_prime if tilde else psi.psi
+    q = integrate(_quantile_kernel(
+        base, lambda x: x * p(x), base.support[0],
+        (gamma - 1.0, 0.0, e - 1.0, 0.0, 1.0 if tilde else 0.0)))
     return float(e ** gamma * q.value / _gamma(gamma))
 
 

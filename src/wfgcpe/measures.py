@@ -6,8 +6,12 @@ The central object is the weighted fractional cumulative past entropy
 
 together with its discrete, normalized, dynamic, residual and
 fractional-integral forms. Closed forms are dispatched through the model
-when available; everything else goes through adaptive quadrature: in x on
-a finite support, and in ``u = K(x)`` on (0, 1) on a right-infinite one.
+when available; everything else goes through adaptive quadrature. Every
+kernel integral, here and in ``analysis.bound_suite`` (a) and
+``analysis.mean_value_identity``, takes its variable from
+``_log_kernel_integral`` alone: x, or on a right-infinite support
+``u = K(x)`` on (0, 1), with the integrand from the one builder of
+integrands in u, ``distributions._quantile_kernel``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .distributions import DistributionModel, _refuse_divergent_tail
+from .distributions import (DistributionModel, _quantile_kernel,
+                            _refuse_divergent_tail)
 from .errors import (DegenerateNormalizer, DomainError,
                      MonotonicityError, UnboundedSupport,
                      require_nonnegative, require_positive)
@@ -37,85 +42,62 @@ class MeasureReport:
     quadrature: Optional[QuadratureResult] = None
 
 
+def _damped(log_k, psi, gamma: float):
+    def f(x):
+        lk = log_k(x)
+        return (0.0 if lk >= 0.0 or lk == -math.inf
+                else psi(x) * math.exp(lk) * (-lk) ** gamma)
+    return f
+
+
+def _undamped(log_k, psi, gamma: float):
+    def f(x):
+        lk = log_k(x)
+        return (0.0 if lk >= 0.0 or lk == -math.inf
+                else psi(x) * (-lk) ** gamma)
+    return f
+
+
+def _one_minus(log_k, psi, gamma: float):
+    def f(x):  # 1 - K as -expm1(ln K) keeps the tail
+        lk = log_k(x)
+        return (0.0 if lk >= 0.0 or lk == -math.inf
+                else psi(x) * math.exp(lk) * (-math.expm1(lk)) ** gamma)
+    return f
+
+
+#: Per kind: the integrand in x, and the powers in u at ``gamma``
+_KINDS = {
+    "past": (_damped, lambda g: (g, 0.0, 0.0, 0.0, 1.0)),
+    "tau": (_undamped, lambda g: (g, 0.0, -1.0, 0.0, 1.0)),
+    "residual": (_damped, lambda g: (0.0, g, -1.0, 1.0, 1.0)),
+    "one_minus": (_one_minus, lambda g: (0.0, 0.0, 0.0, g, 1.0)),
+}
+
+
 def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
-                         damped: bool = True, model=None,
-                         residual: bool = False,
+                         kind: str = "past", model=None,
                          ) -> tuple[float, QuadratureResult]:
-    """``(1/Gamma(gamma+1)) int_lo^hi psi(x) e^{-nl} nl^gamma dx`` with
-    ``nl = -log_k(x)``, and the quadrature result behind it;
-    ``damped=False`` drops ``e^{-nl}``. Where ``hi = inf`` and the
-    ``model`` of ``log_k`` is given, ``_quantile_kernel`` integrates, and
-    this integrand is its fallback.
+    """``(1/Gamma(gamma+1)) int_lo^hi psi(x) k(nl) dx``, ``nl = -log_k(x)``,
+    and the quadrature result behind it; ``kind`` picks ``k``:
+    ``e^{-nl} nl^gamma`` (``past``, and ``residual`` with ``log_k`` the
+    log-survival), ``nl^gamma`` (``tau``) or
+    ``e^{-nl} (1 - e^{-nl})^gamma`` (``one_minus``). The one choice of
+    variable for every kernel integral: x, or, where ``hi = inf`` and
+    ``log_k``'s ``model`` is given, ``u = K(x)`` in ``_quantile_kernel``,
+    with x as its fallback.
 
-    ``log_k`` is a model's exact ``log_cdf`` or ``log_survival`` (then
-    ``residual``), so tails where ``K`` rounds to 1 keep their mass, and
-    ``psi`` a float weight; a node runs one closure over them. ``0 ln 0 =
-    0`` where ``log_k`` is 0 or infinite. A divergent integral ends in
-    ``NonConvergence`` from ``integrate``, a negative extrapolated value
-    included.
+    ``log_k`` is an exact log, so tails where ``K`` rounds to 1 keep their
+    mass; ``0 ln 0 = 0`` where it is 0 or infinite. A divergent integral
+    ends in ``NonConvergence`` from ``integrate``.
     """
-    if damped:
-        def f(x):
-            lk = log_k(x)
-            if lk >= 0.0 or lk == -math.inf:
-                return 0.0
-            return psi(x) * math.exp(lk) * (-lk) ** gamma
-    else:
-        def f(x):
-            lk = log_k(x)
-            if lk >= 0.0 or lk == -math.inf:
-                return 0.0
-            return psi(x) * (-lk) ** gamma
-
-    f = Integrand(f, lo, hi)
+    x_kernel, powers = _KINDS[kind]
+    f = Integrand(x_kernel(log_k, psi, gamma), lo, hi)
     # in u, 1 - u must stay a normal float at every node: 1 - K(lo) > e^-64
     if model is not None and math.isinf(hi) and model.log_survival(lo) > -64:
-        f = _quantile_kernel(model, psi, gamma, f, damped, residual=residual)
+        f = _quantile_kernel(model, psi, lo, powers(gamma), f)
     q = integrate(f)
     return float(q.value / _gamma(gamma + 1.0)), q
-
-
-def _quantile_kernel(model: DistributionModel, psi, gamma: float,
-                     fallback: Integrand, damped: bool = True,
-                     one_minus: bool = False, residual: bool = False,
-                     ) -> Integrand:
-    """The kernel of ``_log_kernel_integral`` over ``fallback``'s (lo, inf)
-    in ``u = K(x)`` at exact end offsets, with ``fallback``, the same
-    integral in x, for QUADPACK; ``one_minus`` puts ``1 - K`` for
-    ``-ln K``. Where the integrand grows like ``(1 - u)^{-1+e}``, small e
-    leaves mass beyond the nodes' 1e-275 that the rule does not settle on,
-    and QAGI can reach.
-
-    With ``l = ln(1/lambda(x))`` from ``quantile_logs``, ``K dx = e^l du``
-    and ``(1 - K) dx = e^{l - ln u + ln(1 - u)} du``: ``psi K (-ln K)^gamma
-    dx = psi(x) e^{gamma ln(-ln u) + l} du``. ``u = k0 + w0 v``, ``k0 =
-    K(lo)``, maps (k0, 1) onto (0, 1) with ``1 - u = w0 (1 - v)``, which
-    keeps both logs exact (``u`` as ``1 - w0 (1 - v)`` near 1), and
-    ``du = w0 dv``.
-    """
-    ql, lw0 = model.quantile_logs, model.log_survival(fallback.lo)
-    k0, w0 = -math.expm1(lw0), math.exp(lw0)
-    # the exponent: c ln(-ln u) (of -ln(1 - u) if residual) + a ln u
-    # + b ln(1 - u) + l + ln w0
-    c, a, b = ((0.0, 0.0, gamma) if one_minus else
-               (gamma, -1.0, 1.0) if residual else
-               (gamma, 0.0 if damped else -1.0, 0.0))
-    log, log1p, exp = math.log, math.log1p, math.exp
-
-    def f(y):
-        if y > 0.0:
-            lw = lw0 + log1p(-y)
-            lu = log(k0 + w0 * y) if k0 < 0.5 else log1p(-w0 * (1.0 - y))
-        else:
-            lu, lw = log1p(w0 * y), lw0 + log(-y)
-        x, l = ql(lu, lw)
-        p = psi(x)
-        if p == 0.0:  # no mass, where e^l may overflow
-            return 0.0
-        return p * exp(c * log(-(lw if residual else lu)) + a * lu + b * lw
-                       + l + lw0)
-
-    return Integrand(f, 0.0, 1.0, True, fallback)
 
 
 def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
@@ -207,17 +189,16 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
         return 0.0
     _refuse_divergent_tail(model, psi, gamma)
     return _log_kernel_integral(model.log_cdf, psi.psi, gamma, max(u, lo),
-                                hi, damped=False, model=model)[0]
+                                hi, "tau", model)[0]
 
 
 def wfgcre(model: DistributionModel, psi: WeightFunction,
            gamma: float) -> float:
-    """Residual counterpart: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
+    """Residual form: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
     require_positive(gamma=gamma)
     _refuse_divergent_tail(model, psi, gamma, residual=True)
     return _log_kernel_integral(model.log_survival, psi.psi, gamma,
-                                *model.support, model=model,
-                                residual=True)[0]
+                                *model.support, "residual", model)[0]
 
 
 def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,

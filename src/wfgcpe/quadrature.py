@@ -3,14 +3,14 @@
 A finite interval takes a fixed tanh-sinh rule (Takahasi & Mori, Publ.
 RIMS 9, 1974), whose double exponential decay absorbs the algebraic-log
 singularity of ``u (-ln u)^gamma`` wherever the CDF approaches 0 or 1.
-The measures take right-infinite kernel integrals and the PRH terms onto
-(0, 1) in ``u = K(x)``, where the rule passes exact end offsets (see
-``Integrand``). A right-infinite domain as such, or a finite one where the
-rule does not settle or a node raises, goes to QUADPACK
-(``scipy.integrate.quad``), whose QAGI routine maps a right-infinite
-domain onto (0, 1) itself; a kernel in u falls back to its form in x. One guard per node maps a non-finite value
-(endpoint underflow) to its continuous-limit value 0; under
-``full_output`` scipy does not warn.
+On (0, 1) the rule can pass each node as its exact offset from the nearer
+end (see ``Integrand``): the measures integrate the right-infinite kernels
+and the PRH terms so, in ``u = K(x)``. QUADPACK (``scipy.integrate.quad``)
+takes a right-infinite domain, which its QAGI routine maps onto (0, 1),
+and a finite one where the rule does not settle or a node raises; there
+it integrates the ``fallback``, if the ``Integrand`` has one. One guard
+per node maps a non-finite value (endpoint underflow) to its
+continuous-limit value 0; under ``full_output`` scipy does not warn.
 """
 
 from __future__ import annotations
@@ -168,8 +168,7 @@ def integrate(
     rel_tol * |value|)``; if not, or once a level from 4 on shrinks that
     move less than tenfold (a kink), QUADPACK integrates the same
     integrand, or its ``fallback``, and any error it raises is genuine.
-    For ``hi = inf``
-    QUADPACK's QAGI maps the tail onto (0, 1) itself.
+    For ``hi = inf`` QUADPACK's QAGI maps the tail onto (0, 1) itself.
 
     Raises ``NonConvergence`` if QUADPACK's subdivision budget is exhausted
     with the error estimate above ``max(abs_tol, rel_tol * |value|)``, if

@@ -25,7 +25,8 @@ from wfgcpe.distributions import (make_custom, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   prh_transform)
-from wfgcpe.errors import DomainError, PreconditionUnmet, WfgcpeError
+from wfgcpe.errors import (ConstraintError, DomainError, PreconditionUnmet,
+                           WfgcpeError)
 from wfgcpe.measures import wfgcpe
 from wfgcpe.quadrature import Integrand
 from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight,
@@ -376,6 +377,39 @@ def test_mean_value_identity():
         mean_value_identity(m, m, weight_x(), 0.75)
 
 
+@pytest.mark.parametrize("m1, m2, gamma", [
+    (make_exponential(2.0), make_exponential(1.0), 0.25),
+    (make_weibull_square(2.0), make_weibull_square(1.0), 0.25),
+    (make_frechet(1.0, 8.0), make_frechet(2.0, 8.0), 0.5)],
+    ids=["exponential", "weibull_square", "frechet"])
+def test_mean_value_identity_holds_on_unbounded_pairs(m1, m2, gamma):
+    # a slowly decaying tail keeps mass past any truncation point: the
+    # integrals run to infinity
+    identity, bound = mean_value_identity(m1, m2, weight_x(), gamma)
+    assert identity.holds and identity.slack <= 1e-14, identity
+    assert bound.holds
+
+
+def test_mean_value_identity_refuses_a_divergent_entropy():
+    # the entropy's gate speaks before the divergent tau integrals
+    with pytest.raises(ConstraintError, match="diverges"):
+        mean_value_identity(make_frechet(1.0, 8.0), make_frechet(2.0, 8.0),
+                            weight_x(), 0.25)
+
+
+def test_check_reports_carry_builtin_types():
+    power = make_power(1.0, 2.0)
+    reports = bound_suite(power, weight_x(), 0.5, xi=weight_x(),
+                          other=make_uniform_shifted(0.0))
+    reports += bound_suite(make_exponential(1.0), weight_x(), 0.5)
+    reports += mean_value_identity(make_exponential(2.0),
+                                   make_exponential(1.0), weight_x(), 0.5)
+    for r in reports:
+        assert type(r.holds) is bool, r
+        for v in (r.lhs, r.rhs, r.slack):
+            assert type(v) is float, r
+
+
 def test_bound_suite_sample():
     reports = bound_suite(make_power(1.0, 2.0), weight_x(), 1.0,
                           xi=weight_x())
@@ -410,13 +444,18 @@ def test_bound_suite_log_sum_reports_divergence_not_bugs():
 def test_bound_suite_log_sum_is_one_integral(monkeypatch, model, psi):
     # ln D + H(X) as one integral: clauses (a) and (b) take one each
     calls = []
-    real = analysis.integrate
+    real, real_kernel = analysis.integrate, analysis._log_kernel_integral
 
     def counted(f, *args, **kwargs):
         calls.append(f)
         return real(f, *args, **kwargs)
 
+    def counted_kernel(*args, **kwargs):
+        calls.append(args)
+        return real_kernel(*args, **kwargs)
+
     monkeypatch.setattr(analysis, "integrate", counted)
+    monkeypatch.setattr(analysis, "_log_kernel_integral", counted_kernel)
     g = 2.75
     rhs = {r.name: r.rhs for r in bound_suite(model, psi, g)}
     assert len(calls) == 2
