@@ -4,12 +4,15 @@ Order relations, DFR and log-concavity are decided on one probe grid of
 quantiles (with explicit witnesses on violation); the decreasing-convex
 order by its integrated-CDF criterion. A verdict holds on the grid, which
 is not a proof. The Monte Carlo engine draws by inverse transform from
-one counter-based Philox stream per seed, in which every replicate owns a
-fixed block of counters, so the draws are bit-identical for any
-evaluation order or chunking. Quantiles, ``Psi``, the sort and the
-spacings are whole-array operations over fixed chunks of 2^16 draws,
-which run on every CPU the process may use; the values do not depend on
-the CPU count.
+one PCG64DXSM stream per seed, in which replicate ``i`` of ``n`` draws
+owns the words ``[i n, (i + 1) n)`` and is reached by ``advance``, so the
+draws are bit-identical for any evaluation order or chunking. Quantiles,
+``Psi``, the sort and the spacings are whole-array operations over fixed
+chunks of 2^16 draws, which run on every CPU the process may use; the
+values do not depend on the CPU count. For the self-density weight
+(``Psi = K``) the spacings are those of the sorted uniforms themselves,
+``K(Q(u)) = u``, whatever the population (Pyke 1965), so no quantile or
+``Psi`` is evaluated.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
+from scipy.special import gamma as _gamma, ndtr
 
 from .distributions import (DistributionModel, _refuse_divergent_tail,
                             make_power, prh_transform)
@@ -483,23 +486,28 @@ class SimulationSummary:
 def _draw_uniforms(seed: int, replicates: int, n: int,
                    start: int = 0) -> np.ndarray:
     """Uniforms of replicates ``start, ..., start + replicates - 1``, one
-    row of ``n`` each, from the counter-based Philox stream of ``seed``.
+    row of ``n`` each, from the PCG64DXSM stream of ``seed``.
 
-    Philox yields four 64-bit words per counter step and a double takes
-    one word, so replicate ``i`` owns the counter block
-    ``[i m, (i + 1) m)`` with ``m = ceil(n / 4)`` and is reached by
-    ``advance``: a row is the same in any chunk and any evaluation order.
+    A double takes one 64-bit word of the stream, so replicate ``i`` owns
+    the words ``[i n, (i + 1) n)`` and is reached by ``advance``: a row
+    is the same in any chunk and any evaluation order.
     """
-    m = -(-n // 4)
-    bits = np.random.Philox(np.random.SeedSequence(seed))
-    bits.advance(start * m)
-    return np.random.Generator(bits).random((replicates, 4 * m))[:, :n]
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed))
+    bits.advance(start * n)
+    return np.random.Generator(bits).random((replicates, n))
 
 
 def _spacings_from_uniforms(u: np.ndarray, population: DistributionModel,
                             weight: WeightFunction) -> np.ndarray:
     """Spacings ``Z`` of the antiderivative-transformed order statistics,
-    one row per replicate. Independent of the fractional order."""
+    one row per replicate. Independent of the fractional order.
+
+    Where ``Psi`` is the population's own CDF, ``Psi(Q(u)) = u``: the
+    spacings are those of the sorted uniforms. The test is identity, not
+    the tag, so a self-density weight of another model takes the general
+    path."""
+    if weight.antiderivative is population.cdf:
+        return np.diff(np.sort(u, axis=1), axis=1)
     x = np.sort(_elementwise(population.quantile, u), axis=1)
     return np.diff(_elementwise(weight.big_psi, x), axis=1)
 
@@ -585,6 +593,29 @@ class CltReport:
     moment_source: str
 
 
+def _normal_fit(std: np.ndarray) -> tuple[float, float, float]:
+    """Kolmogorov-Smirnov distance of ``std`` from the standard normal, and
+    its biased skewness and excess kurtosis (``scipy.stats``' defaults).
+
+    With ``Phi`` at the sorted values ``s_1 <= ... <= s_r``, the distance
+    is ``max(max(i/r - Phi(s_i)), max(Phi(s_i) - (i - 1)/r))``.
+    """
+    mean = std.mean()
+    dev = std - mean
+    m2 = np.mean(dev ** 2)
+    # scipy's test for a spread lost to rounding of the mean
+    if not m2 > (1e-15 * mean) ** 2:
+        raise PreconditionUnmet(
+            "replicate estimates have zero or non-finite spread")
+    r = std.size
+    cdf = ndtr(np.sort(std))
+    ks = max(np.max(np.arange(1, r + 1) / r - cdf),
+             np.max(cdf - np.arange(r) / r))
+    skew = np.mean(dev ** 3) / m2 ** 1.5
+    kurt = np.mean(dev ** 4) / m2 ** 2 - 3.0
+    return float(ks), float(skew), float(kurt)
+
+
 def clt_diagnostic(config: SimulationConfig,
                    exact_moments: Optional[tuple[float, float]] = None,
                    ) -> CltReport:
@@ -594,10 +625,12 @@ def clt_diagnostic(config: SimulationConfig,
     or ``K = x^2`` population with weight ``x``; self-density weight for
     any population), else from the Monte Carlo sample itself. The pass
     verdict applies the asymptotic Kolmogorov-Smirnov critical value with
-    a 1.5 safety factor, asserted only for ``n >= 200``.
+    a 1.5 safety factor, asserted only for ``n >= 200``. Fewer than 2
+    replicates, or estimates with zero spread, are refused.
     """
-    import scipy.stats  # slow to import, and needed only here
-
+    if config.replicates < 2:
+        raise PreconditionUnmet(
+            f"require at least 2 replicates, got {config.replicates}")
     source = "provided"
     if exact_moments is None:
         exact_moments, source = _exact_moments(
@@ -605,7 +638,7 @@ def clt_diagnostic(config: SimulationConfig,
 
     summary = simulate_estimator(config)
     if exact_moments is None:
-        if summary.variance is None or summary.variance <= 0.0:
+        if summary.variance <= 0.0:
             raise PreconditionUnmet("degenerate Monte Carlo variance")
         mean, var = summary.mean, summary.variance
     else:
@@ -613,13 +646,10 @@ def clt_diagnostic(config: SimulationConfig,
         if var <= 0.0:
             raise PreconditionUnmet("degenerate exact variance")
     std = (summary.values - mean) / math.sqrt(var)
-    ks = scipy.stats.kstest(std, "norm").statistic
+    ks, skew, kurt = _normal_fit(std)
     threshold = 1.36 / math.sqrt(config.replicates) * 1.5
     passes = bool(ks < threshold) if config.n >= 200 else None
-    return CltReport(float(ks), threshold,
-                     float(scipy.stats.skew(std)),
-                     float(scipy.stats.kurtosis(std)),
-                     passes, source)
+    return CltReport(ks, threshold, skew, kurt, passes, source)
 
 
 def consistency_profile(population: DistributionModel,

@@ -31,7 +31,8 @@ class UnboundedSupport(WfgcpeError):
 
 
 class DegenerateNormalizer(WfgcpeError):
-    """The weighted cumulative past entropy used as normalizer is zero."""
+    """The weighted cumulative past entropy used as normalizer is zero, or
+    so small that the normalized entropy overflows."""
 
 
 class MonotonicityError(WfgcpeError):

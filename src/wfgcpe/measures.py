@@ -150,6 +150,8 @@ def normalized_wfgcpe(model: DistributionModel, psi: WeightFunction,
     ``gamma``-th power of the weighted cumulative past entropy.
 
     Limits: 1 at ``gamma = 1``; ``int psi K dx`` as ``gamma -> 0+``.
+    Computed in logs; a value past the largest float raises
+    ``DegenerateNormalizer``.
     """
     require_positive(gamma=gamma)
     denom = weighted_cpe(model, psi)
@@ -157,7 +159,17 @@ def normalized_wfgcpe(model: DistributionModel, psi: WeightFunction,
         raise DegenerateNormalizer(
             f"weighted cumulative past entropy is {denom}")
     num = wfgcpe(model, psi, gamma).value
-    return num / (_gamma(gamma + 1.0) * denom ** gamma)
+    if num <= 0.0:
+        return 0.0
+    # in logs: denom ** gamma underflows long before the ratio does
+    log_ratio = (math.log(num) - math.lgamma(gamma + 1.0)
+                 - gamma * math.log(denom))
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        raise DegenerateNormalizer(
+            f"normalized entropy e^{log_ratio:.6g} overflows: the "
+            f"normalizer {denom!r} is too small") from None
 
 
 def dynamic_wfgcpe(model: DistributionModel, psi: WeightFunction,

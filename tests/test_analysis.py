@@ -25,6 +25,7 @@ from wfgcpe.distributions import (make_custom, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   prh_transform)
+from wfgcpe.empirical import _estimator_coefficients
 from wfgcpe.errors import (ConstraintError, DomainError, PreconditionUnmet,
                            WfgcpeError)
 from wfgcpe.measures import wfgcpe
@@ -625,6 +626,17 @@ def test_draw_uniforms_chunk_invariant(n):
     assert len(np.unique(whole)) == whole.size
 
 
+def test_draw_uniforms_rows_are_consecutive_words():
+    # replicate i takes the stream's doubles [i n, (i + 1) n): no padding
+    seed, reps, n = 77, 9, 7
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed))
+    stream = np.random.Generator(bits).random(reps * n)
+    assert np.array_equal(_draw_uniforms(seed, reps, n),
+                          stream.reshape(reps, n))
+    assert np.array_equal(_draw_uniforms(seed, 2, n, 4), stream[28:42]
+                          .reshape(2, n))
+
+
 def test_simulate_chunking_is_invisible(monkeypatch):
     whole = simulate_estimator(_config(), gammas=(0.5, 1.5))
     monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 30)  # 3 rows of n=8
@@ -830,6 +842,85 @@ def test_simulate_scalar_only_custom_model_and_weights():
         got = simulate_estimator(_config(replicates=40, n=5,
                                          population=square, weight=weight))
         np.testing.assert_allclose(got.values, reference.values, rtol=rtol)
+
+
+@pytest.mark.parametrize("population", [
+    make_weibull_square(1.0), make_frechet(1.0, 4.0), make_power(2.0, 3.0)],
+    ids=lambda m: m.family)
+def test_self_density_path_matches_general_path(population):
+    weight = self_density_weight(population)
+    # a wrapped cdf is not the weight's antiderivative: the general path
+    wrapped = dataclasses.replace(population,
+                                  cdf=lambda x, k=population.cdf: k(x))
+    fast, general = (simulate_estimator(_config(
+        population=m, weight=weight, n=50, replicates=300, gamma=1.5))
+        for m in (population, wrapped))
+    np.testing.assert_allclose(fast.values, general.values, rtol=1e-14,
+                               atol=0.0)
+
+
+def test_self_density_values_do_not_depend_on_the_population():
+    # Psi = K makes Psi(Q(u)) = u: no quantile is evaluated, and every
+    # population gives the same replicate values, bit for bit
+    calls = []
+
+    def quantile(u):
+        calls.append(u)
+        return math.sqrt(u)
+
+    square = dataclasses.replace(SQUARE_FLOAT_ONLY, quantile=quantile)
+    runs = [simulate_estimator(_config(population=m,
+                                       weight=self_density_weight(m))).values
+            for m in (square, make_weibull_square(1.0),
+                      make_frechet(1.0, 4.0))]
+    assert calls == []
+    for values in runs[1:]:
+        assert np.array_equal(values, runs[0])
+
+
+def test_simulate_matches_a_sort_free_dirichlet_sampler():
+    # K = x^2 with psi = x: Psi = K / 2, so the spacings are half the
+    # interior spacings of n uniforms, which are parts 2..n of a
+    # Dirichlet(1, ..., 1) over n + 1 parts (Pyke 1965); normalized
+    # exponentials draw them with no sort
+    import scipy.stats
+
+    n, reps, gammas = 10, 4000, (0.5, 1.5)
+    sim = simulate_estimator(_config(n=n, replicates=reps, seed=31), gammas)
+    e = np.random.default_rng(32).standard_exponential((reps, n + 1))
+    z = 0.5 * (e / e.sum(axis=1, keepdims=True))[:, 1:n]
+    for g in gammas:
+        exact = z @ _estimator_coefficients(n, g) / special.gamma(g + 1.0)
+        got = sim[g]
+        assert scipy.stats.ks_2samp(got.values, exact).pvalue > 1e-3
+        se = math.sqrt((got.variance + exact.var(ddof=1)) / reps)
+        assert abs(got.mean - exact.mean()) <= 3.0 * se
+
+
+@pytest.mark.parametrize("size, seed", [(2, 0), (3, 1), (40, 2), (2000, 3)])
+def test_normal_fit_matches_scipy_stats(size, seed):
+    import scipy.stats
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_gamma(4.0, size) - 4.0  # skewed, heavy right tail
+    z[size // 2:] = np.round(z[size // 2:], 1)  # with ties
+    got = analysis._normal_fit(z)
+    want = (scipy.stats.kstest(z, "norm").statistic, scipy.stats.skew(z),
+            scipy.stats.kurtosis(z))
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def test_clt_refuses_fewer_than_two_replicates():
+    with pytest.raises(PreconditionUnmet, match="2 replicates"):
+        clt_diagnostic(_config(replicates=1,
+                               population=make_weibull_square(1.0)))
+
+
+def test_clt_refuses_zero_spread():
+    zero = custom_weight(lambda x: 0.0 * x, lambda x: 0.0 * x)
+    with pytest.raises(PreconditionUnmet, match="non-finite spread"):
+        clt_diagnostic(_config(weight=zero), exact_moments=(0.0, 1.0))
 
 
 def test_clt_small_n_reports_only():

@@ -42,3 +42,15 @@ def test_package_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+def test_clt_diagnostic_leaves_scipy_stats_unloaded():
+    code = ("import sys, wfgcpe as w; "
+            "m = w.make_weibull_square(1.0); "
+            "[w.clt_diagnostic(w.SimulationConfig(300, 200, 1, m, p, 0.5)) "
+            "for p in (w.weight_x(), w.self_density_weight(m), "
+            "w.weight_one())]; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

@@ -7,12 +7,14 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from wfgcpe.distributions import make_frechet, make_power, make_uniform_shifted
-from wfgcpe.errors import DomainError, MonotonicityError, UnboundedSupport
+from wfgcpe.errors import (DegenerateNormalizer, DomainError,
+                           MonotonicityError, UnboundedSupport)
 from wfgcpe.measures import (affine_wfgcpe, discrete_wfe, dynamic_wfgcpe,
                              normalized_wfgcpe, rl_fractional_integral, tau,
                              weighted_cpe, wfgcpe, wfgcpe_gamma_zero_limit,
                              wfgcpe_via_fractional_bridge, wfgcre)
-from wfgcpe.weights import weight_one, weight_x, weight_x_squared
+from wfgcpe.weights import (weight_exp_neg, weight_one, weight_x,
+                            weight_x_squared)
 
 
 def uniform_closed(a, tag, g):
@@ -96,6 +98,23 @@ def test_normalized_limits():
     assert abs(normalized_wfgcpe(m, weight_x(), 1.0) - 1.0) <= 1e-9
     # gamma -> 0+ limit is int psi K dx = int x * x^2 dx = 1/4
     assert abs(normalized_wfgcpe(m, weight_x(), 1e-4) - 0.25) <= 1e-3
+
+
+@pytest.mark.parametrize("a, g", [(100.0, 7.5), (397.5, 2.5)])
+def test_normalized_past_an_underflowing_normalizer(a, g):
+    # with psi = e^{-x} on (a, a + 1) the entropy and the normalizer both
+    # carry e^{-a}, so the normalized value is e^{a (g - 1)} times that at
+    # a = 0; the normalizer's g-th power underflows to 0 here
+    base = normalized_wfgcpe(make_uniform_shifted(0.0), weight_exp_neg(), g)
+    got = normalized_wfgcpe(make_uniform_shifted(a), weight_exp_neg(), g)
+    assert math.isfinite(got)
+    assert abs(math.log(got) - (a * (g - 1.0) + math.log(base))) <= 1e-12
+
+
+def test_normalized_overflow_is_refused():
+    # e^{2581.8}: past the largest float
+    with pytest.raises(DegenerateNormalizer, match="overflows"):
+        normalized_wfgcpe(make_uniform_shifted(397.5), weight_exp_neg(), 7.5)
 
 
 def test_dynamic_wfgcpe():
