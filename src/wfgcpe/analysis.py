@@ -26,14 +26,14 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma as _gamma, ndtr
 
-from .distributions import (DistributionModel, _refuse_divergent_tail,
-                            make_power, prh_transform)
+from .distributions import (DistributionModel, _log_neg_log,
+                            _refuse_divergent_tail, make_power, prh_transform)
 from .empirical import (_check_moment_args, _estimator_coefficients,
                         _exact_moments)
 from .errors import (ConstraintError, DomainError, PreconditionUnmet,
                      WfgcpeError, require_positive)
 from .measures import _log_kernel_integral, tau, weighted_cpe, wfgcpe
-from .quadrature import Integrand, _end_logs, integrate
+from .quadrature import Integrand, integrate
 from .weights import (WeightFunction, _array_call, _elementwise, power_weight,
                       weight_one)
 
@@ -289,8 +289,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}, with
     # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u);
     # on a right-infinite support ln psi(x) + gamma ln(-ln u) + ln(1/lambda)
-    # at exact end offsets, where ln psi = -x for e^{-x}: its -E[X] = -inf
-    # makes the bound 0
+    # at end logs, where ln psi = -x for e^{-x}: its -E[X] = -inf makes the
+    # bound 0
     exp_neg = psi.tag == "expneg" and psi.growth == -math.inf
     if finite:
         def f_b(u):
@@ -298,11 +298,11 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
             return (math.log(p(x) * u) + gamma * math.log(-math.log(u))
                     - math.log(pdf(x)))
     else:
-        def f_b(y):
-            lu, lw = _end_logs(y)
+        def f_b(node):
+            lu, lw, lwt = node
             x, l = model.quantile_logs(lu, lw)
             log_p = -x if exp_neg else math.log(p(x))
-            return log_p + gamma * math.log(-lu) + l
+            return math.exp(lwt) * (log_p + gamma * _log_neg_log(lu, lw) + l)
 
     try:
         ln_dh = (-math.inf if exp_neg and not finite_mean else

@@ -22,6 +22,7 @@ from .weights import WeightFunction
 
 _PROBE_POINTS = 1024
 _LN2 = math.log(2.0)
+_NEAR_ONE = 2.0 ** -53  # -ln u where u rounds to 1: ln(-ln u) = ln(1 - u)
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,6 @@ class DistributionModel:
             object.__setattr__(self, "quantile_logs", partial(
                 _quantile_logs_of, self.quantile, self.pdf, self.support[1]))
 
-    def survival(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
-
     def reversed_hazard(self, x: float) -> float:
         k = self.cdf(x)
         if k <= 0.0:
@@ -84,14 +82,9 @@ class DistributionModel:
         return self.pdf(x) / k
 
     def expectation(self, g: Callable[[float], float]) -> float:
-        """E[g(X)] through the quantile transform on (0, 1), at exact end
-        offsets on a right-infinite support."""
-        if math.isinf(self.support[1]):
-            f = _quantile_kernel(self, g, self.support[0], (0.0,) * 5)
-        else:
-            q = self.quantile
-            f = Integrand(lambda u: g(q(u)), 0.0, 1.0)
-        return integrate(f).value
+        """E[g(X)] through the quantile transform, at end logs on (0, 1)."""
+        return integrate(_quantile_kernel(self, g, self.support[0],
+                                          (0.0,) * 5)).value
 
     def mean(self) -> float:
         return self.expectation(lambda x: x)
@@ -115,13 +108,16 @@ def _quantile_logs_of(quantile, pdf, hi: float, lu: float, lw: float):
     return x, lu - math.log(d) if d > 0.0 else math.inf
 
 
+def _log_neg_log(la: float, lb: float) -> float:
+    """``ln(-ln a)`` from ``ln a`` and ``ln(1 - a)``: the latter near 1."""
+    return math.log(-la) if la < -_NEAR_ONE else lb
+
+
 def _quantile_kernel(model: DistributionModel, h: Callable[[float], float],
-                     lo: float, powers: tuple,
-                     fallback: Optional[Integrand] = None) -> Integrand:
+                     lo: float, powers: tuple) -> Integrand:
     """The integral over ``x > lo`` of a kernel, in ``u = K(x)`` on (0, 1)
-    at exact end offsets. QUADPACK integrates ``fallback``, the same
-    integral in x, where the rule does not settle: growth like
-    ``(1 - u)^{-1+e}`` leaves mass beyond the nodes' 1e-275.
+    at end logs (see ``Integrand``): the one route for a right-infinite
+    support, which keeps ``(1 - u)^{-1+e}`` growth near a divergence bound.
 
     With ``powers = (c, r, a, b, m)`` the integrand is ``h(x) (-ln u)^c
     (-ln(1 - u))^r u^a (1 - u)^b e^{m l}`` at ``x = Q(u)``, ``l =
@@ -129,28 +125,30 @@ def _quantile_kernel(model: DistributionModel, h: Callable[[float], float],
     evaluated. As ``K dx = e^l du``, ``psi K (-ln K)^gamma dx`` has powers
     ``(gamma, 0, 0, 0, 1)``. ``u = k0 + w0 v``, ``k0 = K(lo)``, maps (k0,
     1) onto (0, 1) with ``1 - u = w0 (1 - v)``, which keeps both logs exact
-    (``u`` as ``1 - w0 (1 - v)`` near 1), and ``du = w0 dv``.
+    (``u`` as ``1 - w0 (1 - v)`` above 1/2), and ``du = w0 dv``. ``h``
+    past the largest float is ``inf``, as ``x * x`` is.
     """
     c, r, a, b, m = powers
     ql, lw0 = model.quantile_logs, model.log_survival(lo)
-    k0, w0 = -math.expm1(lw0), math.exp(lw0)
-    log, log1p, exp = math.log, math.log1p, math.exp
+    k0, log, log1p, exp = -math.expm1(lw0), math.log, math.log1p, math.exp
 
-    def f(y):
-        if y > 0.0:
-            lw = lw0 + log1p(-y)
-            lu = log(k0 + w0 * y) if k0 < 0.5 else log1p(-w0 * (1.0 - y))
-        else:
-            lu, lw = log1p(w0 * y), lw0 + log(-y)
+    def f(node):
+        lv, l1mv, lwt = node
+        lw = lw0 + l1mv
+        lu = (lv if not k0 else log1p(-exp(lw)) if lw < -_LN2
+              else log(k0 + exp(lw0 + lv)))
         x, l = ql(lu, lw)
-        p = h(x)
+        try:
+            p = h(x)
+        except OverflowError:
+            return math.inf
         if p == 0.0:  # no mass, where e^l may overflow
             return 0.0
-        return p * exp((c * log(-lu) if c else 0.0)
-                       + (r * log(-lw) if r else 0.0) + a * lu + b * lw
-                       + (m * l if m else 0.0) + lw0)
+        return p * exp((c * _log_neg_log(lu, lw) if c else 0.0)
+                       + (r * _log_neg_log(lw, lu) if r else 0.0)
+                       + a * lu + b * lw + (m * l if m else 0.0) + lw0 + lwt)
 
-    return Integrand(f, 0.0, 1.0, True, fallback)
+    return Integrand(f, 0.0, 1.0, True)
 
 
 def _log1m_exp(t: float) -> float:
@@ -205,6 +203,9 @@ def make_power(b: float, c: float) -> DistributionModel:
         closed_wfgcpe=closed,
         log_cdf=lambda x: (c * (math.log(x) - math.log(b)) if 0.0 < x < b
                            else (0.0 if x >= b else -math.inf)),
+        log_survival=lambda x: (
+            _log1m_exp(c * (math.log(b) - math.log(x))) if 0.0 < x < b
+            else (-math.inf if x >= b else 0.0)),
         quantile_logs=lambda lu, lw: (b * math.exp(lu / c), lu / c + log_b_c),
     )
 
@@ -271,7 +272,7 @@ def make_frechet(b: float, c: float) -> DistributionModel:
     log_b, log_bc = math.log(b), math.log(b * c)
 
     def quantile_logs(lu, lw):  # lambda = b c x^{-c-1}; x^{c+1} overflows
-        lx = (log_b - math.log(-lu)) / c
+        lx = (log_b - _log_neg_log(lu, lw)) / c
         return (math.exp(lx) if lx < 709.0 else math.inf,
                 (c + 1.0) * lx - log_bc)
 
@@ -434,7 +435,9 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
     log_e, base_logs = math.log(e), base.quantile_logs
 
     def quantile_logs(lu, lw):
-        x, l1 = base_logs(lu / e, _log1m_exp(-lu / e))
+        # 1 - u^{1/eta} = (1 - u)/eta where u rounds to 1
+        x, l1 = base_logs(lu / e, _log1m_exp(-lu / e) if lu < -_NEAR_ONE
+                          else lw - log_e)
         return x, l1 - log_e
 
     def cdf(x):

@@ -9,9 +9,8 @@ fractional-integral forms. Closed forms are dispatched through the model
 when available; everything else goes through adaptive quadrature. Every
 kernel integral, here and in ``analysis.bound_suite`` (a) and
 ``analysis.mean_value_identity``, takes its variable from
-``_log_kernel_integral`` alone: x, or on a right-infinite support
-``u = K(x)`` on (0, 1), with the integrand from the one builder of
-integrands in u, ``distributions._quantile_kernel``.
+``_log_kernel_integral`` alone: x on a finite support, else ``u = K(x)``
+on (0, 1) in the one builder of integrands in u, ``_quantile_kernel``.
 """
 
 from __future__ import annotations
@@ -83,20 +82,17 @@ def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
     ``e^{-nl} nl^gamma`` (``past``, and ``residual`` with ``log_k`` the
     log-survival), ``nl^gamma`` (``tau``) or
     ``e^{-nl} (1 - e^{-nl})^gamma`` (``one_minus``). The one choice of
-    variable for every kernel integral: x, or, where ``hi = inf`` and
-    ``log_k``'s ``model`` is given, ``u = K(x)`` in ``_quantile_kernel``,
-    with x as its fallback.
+    variable for every kernel integral: x on a finite interval, else
+    ``u = K(x)`` of ``log_k``'s ``model`` in ``_quantile_kernel``.
 
     ``log_k`` is an exact log, so tails where ``K`` rounds to 1 keep their
     mass; ``0 ln 0 = 0`` where it is 0 or infinite. A divergent integral
     ends in ``NonConvergence`` from ``integrate``.
     """
     x_kernel, powers = _KINDS[kind]
-    f = Integrand(x_kernel(log_k, psi, gamma), lo, hi)
-    # in u, 1 - u must stay a normal float at every node: 1 - K(lo) > e^-64
-    if model is not None and math.isinf(hi) and model.log_survival(lo) > -64:
-        f = _quantile_kernel(model, psi, lo, powers(gamma), f)
-    q = integrate(f)
+    q = integrate(_quantile_kernel(model, psi, lo, powers(gamma))
+                  if math.isinf(hi) else
+                  Integrand(x_kernel(log_k, psi, gamma), lo, hi))
     return float(q.value / _gamma(gamma + 1.0)), q
 
 

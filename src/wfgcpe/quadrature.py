@@ -3,13 +3,14 @@
 A finite interval takes a fixed tanh-sinh rule (Takahasi & Mori, Publ.
 RIMS 9, 1974), whose double exponential decay absorbs the algebraic-log
 singularity of ``u (-ln u)^gamma`` wherever the CDF approaches 0 or 1.
-On (0, 1) the rule can pass each node as its exact offset from the nearer
-end (see ``Integrand``): the measures integrate the right-infinite kernels
-and the PRH terms so, in ``u = K(x)``. QUADPACK (``scipy.integrate.quad``)
-takes a right-infinite domain, which its QAGI routine maps onto (0, 1),
-and a finite one where the rule does not settle or a node raises; there
-it integrates the ``fallback``, if the ``Integrand`` has one. One guard
-per node maps a non-finite value (endpoint underflow) to its
+On (0, 1) it can pass each node as the logs of ``u``, ``1 - u`` and its
+weight (see ``Integrand``), out to e^-34,599 of either end, where the
+decay absorbs any ``(1 - u)^{-1+e}`` growth (Mori & Sugihara, J. Comput.
+Appl. Math. 127, 2001): every right-infinite kernel and the PRH terms
+run so, in ``u = K(x)``. QUADPACK (``scipy.integrate.quad``) takes a
+finite interval where the rule does not settle or a node raises, and a
+bare right-infinite ``Integrand``, which its QAGI maps onto (0, 1). One
+guard per node maps a non-finite value (endpoint underflow) to its
 continuous-limit value 0; under ``full_output`` scipy does not warn.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import scipy.integrate
 
@@ -32,70 +33,83 @@ MAX_SUBDIVISIONS = 2 ** 10
 
 
 def _tanh_sinh_node(t: float) -> tuple:
-    """``(delta, weight)`` at ``t > 0`` of the node ``x = 1 - delta`` of
-    (-1, 1) and of ``-x``: ``delta = 1 - tanh(pi/2 sinh t) = 2e/(1 + e)``,
-    ``e = exp(-pi sinh t)``, keeps the end distance to full precision."""
+    """``(delta, weight)`` of the nodes ``+-(1 - delta)`` of (-1, 1) at
+    ``t``: ``delta = 2e/(1 + e)``, ``e = exp(-pi sinh t)``, is exact."""
     e = math.exp(-math.pi * math.sinh(t))
     return 2.0 * e / (1.0 + e), 2.0 * math.pi * math.cosh(t) * e / (1 + e)**2
 
 
+def _end_node(t: float) -> tuple:
+    """``(ln u, ln(1 - u), ln w)`` of the node ``u = delta/2`` of (0, 1) at
+    ``t``, and of its mirror ``1 - u``. Nothing underflows."""
+    s = math.pi * math.sinh(t)
+    l1p = math.log1p(math.exp(-s))
+    lw = math.log(2.0 * math.pi * math.cosh(t)) - s - 2 * l1p
+    return (-s - l1p, -l1p, lw), (-l1p, -s - l1p, lw)
+
+
 #: The nodes each level adds, for t in (0, 4] at step ``2**-level``, and
-#: in (0, 6] for end offsets: t = 6 is 1.5e-275 from an end.
-_TANH_SINH, _TANH_SINH_ENDS = ([[_tanh_sinh_node(j / 2 ** k) for j in range(
-    1, t * 2 ** k + 1, 2 if k else 1)] for k in range(8)] for t in (4, 6))
-#: The levels of ``_TANH_SINH_ENDS`` past level 0 at t < 1, ..., 6.
+#: in (0, 10] as end logs: t = 10 is e^-34,599 from an end.
+_TANH_SINH, _TANH_SINH_ENDS = ([[node(j / 2 ** k) for j in range(
+    1, t * 2 ** k + 1, 2 if k else 1)] for k in range(8)]
+    for node, t in ((_tanh_sinh_node, 4), (_end_node, 10)))
+#: The levels of ``_TANH_SINH_ENDS`` past level 0 at t <= 1, ..., 10.
 _ENDS_CUT = [[[]] + [nodes[:t << k >> 1] for k, nodes in
-                     enumerate(_TANH_SINH_ENDS) if k] for t in range(1, 7)]
+                     enumerate(_TANH_SINH_ENDS) if k] for t in range(1, 11)]
 #: The first level whose change from the previous one may end the rule.
 _TANH_SINH_MIN_LEVEL = 3
 
 
-def _ends_level_0(ev, total: float) -> tuple[float, list]:
-    """``total`` plus level 0 of the end-offset rule on (0, 1), and the
-    levels to come, cut at the first t past which no level-0 term exceeds
-    1e-18 of their absolute sum: past it they decay double exponentially."""
-    terms = []
-    for delta, w in _TANH_SINH_ENDS[0]:
-        ys = [w * y for y in (ev(-0.5 * delta), ev(0.5 * delta))
-              if math.isfinite(y)]
-        total += sum(ys)
-        terms.append(sum(map(abs, ys)))
-    small = 1e-18 * (sum(terms) + abs(total))
-    last = max([t for t, term in enumerate(terms, 1) if term > small],
-               default=0)
-    return total, _ENDS_CUT[min(last, 5)]
-
-
 def _tanh_sinh(ev, a: float, b: float, abs_tol: float, rel_tol: float,
-               offsets: bool = False):
+               logs: bool = False):
     """``(value, error, level, evaluations)`` of the tanh-sinh rule on
     (a, b); ``value`` is None if the levels do not settle or a node raises
     an arithmetic or value error. The error is the last level's change.
-    With ``offsets`` the nodes of (0, 1) are passed as ``Integrand`` says."""
+    With ``logs`` (see ``Integrand``) level 0 runs to t = 6, then on while
+    its last term exceeds 1e-18 of the absolute sum; the later levels stop
+    at the next t past the last such term, as they decay past it."""
     isfinite = math.isfinite
     c, d = 0.5 * (a + b), 0.5 * (b - a)
-    n, prev, prev_err, table = 1, math.nan, math.inf, _TANH_SINH
+    n, prev, prev_err = 1, math.nan, math.inf
     try:
-        y = ev(c)
-        total = 0.5 * math.pi * y if isfinite(y) else 0.0
-        if offsets:  # x = b - d delta is -(1 - u), x = a + d delta is u
-            a = b = 0.0
-            n = 13
-            total, table = _ends_level_0(ev, total)
+        if logs:
+            y = ev((-math.log(2.0), -math.log(2.0), math.log(0.5 * math.pi)))
+            total, terms = (y if isfinite(y) else 0.0), []
+            for node, mirror in _TANH_SINH_ENDS[0]:
+                n += 2
+                ys = [y for y in (ev(mirror), ev(node)) if isfinite(y)]
+                total += sum(ys)
+                terms.append(sum(map(abs, ys)))
+                small = 1e-18 * (sum(terms) + abs(total))
+                if len(terms) >= 6 and terms[-1] <= small:
+                    break
+            table = _ENDS_CUT[min(9, max([t for t, term in enumerate(
+                terms, 1) if term > small], default=0))]
+        else:
+            y = ev(c)
+            total = 0.5 * math.pi * y if isfinite(y) else 0.0
+            table = _TANH_SINH
         for level, nodes in enumerate(table):
-            for delta, w in nodes:
-                x = b - d * delta
-                if x < b:
-                    n += 1
-                    y = ev(x)
-                    if isfinite(y):
-                        total += w * y
-                x = a + d * delta
-                if x > a:
-                    n += 1
-                    y = ev(x)
-                    if isfinite(y):
-                        total += w * y
+            if logs:
+                for node, mirror in nodes:
+                    n += 2
+                    for y in (ev(mirror), ev(node)):
+                        if isfinite(y):
+                            total += y
+            else:
+                for delta, w in nodes:
+                    x = b - d * delta
+                    if x < b:
+                        n += 1
+                        y = ev(x)
+                        if isfinite(y):
+                            total += w * y
+                    x = a + d * delta
+                    if x > a:
+                        n += 1
+                        y = ev(x)
+                        if isfinite(y):
+                            total += w * y
             value = d * total / 2 ** level
             err = abs(value - prev)
             tol = 0.1 * max(abs_tol, rel_tol * abs(value))
@@ -114,32 +128,22 @@ class Integrand:
     """A scalar function on an open interval.
 
     ``eval`` must be finite on the open interior; the endpoints themselves
-    are never evaluated. ``hi`` may be ``inf``. With ``offsets``, on (0, 1)
-    only, ``eval`` takes each node's signed offset from its nearer end
-    instead of the node ``u``: ``u`` itself where ``u <= 1/2``, else
-    ``-(1 - u)``; the nodes then reach 1e-275 of either end. A
-    ``fallback``, the same integral in another variable, is what QUADPACK
-    integrates where the rule does not settle.
-    """
+    are never evaluated. ``hi`` may be ``inf``. With ``logs``, on (0, 1)
+    only, ``eval((ln u, ln(1 - u), ln w))`` returns ``w f(u)``, ``w`` inside
+    the one ``exp`` that forms it, as nodes reach e^-34,599 of either end.
+    A log sum past the largest float raises ``OverflowError``, a divergent
+    tail: the rule ends, and QUADPACK runs in u at ``ln w = 0``."""
 
-    eval: Callable[[float], float]
+    eval: Callable[..., float]
     lo: float
     hi: float
-    offsets: bool = False
-    fallback: Optional["Integrand"] = None
+    logs: bool = False
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DomainError(f"require lo < hi, got ({self.lo}, {self.hi})")
         if self.lo < 0:
             raise DomainError(f"require lo >= 0, got {self.lo}")
-
-
-def _end_logs(y: float) -> tuple[float, float]:
-    """``(ln u, ln(1 - u))`` of the node at signed end offset ``y``."""
-    if y > 0.0:
-        return math.log(y), math.log1p(-y)
-    return math.log1p(y), math.log(-y)
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,9 @@ def integrate(
     A finite interval takes the tanh-sinh rule first, accepted from level
     3 on once a level moves the value by at most ``0.1 * max(abs_tol,
     rel_tol * |value|)``; if not, or once a level from 4 on shrinks that
-    move less than tenfold (a kink), QUADPACK integrates the same
-    integrand, or its ``fallback``, and any error it raises is genuine.
-    For ``hi = inf`` QUADPACK's QAGI maps the tail onto (0, 1) itself.
+    move less than tenfold (a kink), or a node raises an arithmetic or
+    value error, QUADPACK integrates the same integrand, and any error it
+    raises is genuine. QUADPACK's QAGI maps a bare ``hi = inf`` itself.
 
     Raises ``NonConvergence`` if QUADPACK's subdivision budget is exhausted
     with the error estimate above ``max(abs_tol, rel_tol * |value|)``, if
@@ -183,21 +187,17 @@ def integrate(
     ev, a, b, n = f.eval, f.lo, f.hi, 0
     if math.isfinite(b):
         value, abs_err, level, n = _tanh_sinh(ev, a, b, abs_tol, rel_tol,
-                                              f.offsets)
+                                              f.logs)
         if value is not None:
             return QuadratureResult(value, abs_err, level, n)
-        if f.fallback is not None:
-            f = f.fallback
-            ev, a, b = f.eval, f.lo, f.hi
+
+    if f.logs:  # QUADPACK's node u as its logs; u may round onto an end
+        def ev(u, f=ev):
+            return f((math.log(u), math.log1p(-u), 0.0)) if 0 < u < 1 else 0.0
 
     def g(x):
         y = ev(x)
         return y if math.isfinite(y) else 0.0
-
-    if f.offsets:  # QUADPACK's nodes as end offsets; one may round onto 1
-        def g(x, g=g):
-            x = x - 1.0 if x > 0.5 else x
-            return g(x) if x else 0.0
 
     out = scipy.integrate.quad(g, a, b, epsabs=abs_tol, epsrel=rel_tol,
                                limit=MAX_SUBDIVISIONS, full_output=True)

@@ -13,8 +13,8 @@ from wfgcpe.measures import (affine_wfgcpe, discrete_wfe, dynamic_wfgcpe,
                              normalized_wfgcpe, rl_fractional_integral, tau,
                              weighted_cpe, wfgcpe, wfgcpe_gamma_zero_limit,
                              wfgcpe_via_fractional_bridge, wfgcre)
-from wfgcpe.weights import (weight_exp_neg, weight_one, weight_x,
-                            weight_x_squared)
+from wfgcpe.weights import (weight_exp_neg, weight_one, weight_sqrt_x,
+                            weight_x, weight_x_squared)
 
 
 def uniform_closed(a, tag, g):
@@ -147,6 +147,18 @@ def test_wfgcre_symmetry():
         lhs = wfgcpe(u, weight_x(), g, method="quadrature").value
         rhs = wfgcre(u, weight_one(), g) - wfgcre(u, weight_x(), g)
         assert abs(lhs - rhs) <= 1e-7
+
+
+@pytest.mark.parametrize("weight, g, expected", [
+    (weight_sqrt_x, 0.072, 737.04645803556321021),
+    (weight_one, 0.05, 57.838220640882741814),
+    (weight_x, 0.1, 9854.9040091082113626)])
+def test_wfgcre_of_a_steep_power_model(weight, g, expected):
+    # (x/b)^c is below 1.1e-16 over most of (0, b) at c = 97.7, where a
+    # log_survival derived as ln(1 - K) rounds to 0 and the rule does not
+    # settle; 40-digit mpmath in y = -ln((x/b)^c)
+    got = wfgcre(make_power(351.0, 97.7), weight(), g)
+    assert abs(got - expected) <= 1e-10 * expected
 
 
 def test_affine_identity_and_shift():

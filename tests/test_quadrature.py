@@ -16,7 +16,7 @@ from wfgcpe.errors import DomainError, NonConvergence
 from wfgcpe.measures import CLOSED_FORM, QUADRATURE
 from wfgcpe.quadrature import (_TANH_SINH, _TANH_SINH_MIN_LEVEL,
                                DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
-                               _end_logs, integrate)
+                               integrate)
 from wfgcpe.weights import BUILTIN_WEIGHTS
 
 GAMMAS = (0.25, 0.5, 1.0, 1.5, 2.75)
@@ -348,25 +348,30 @@ def test_no_node_is_an_endpoint(monkeypatch, lo, hi):
     assert all(lo < x < hi for x in seen)
 
 
-def test_end_offsets_keep_one_minus_u_exact():
+def test_end_logs_keep_one_minus_u_exact():
     # (1 - u)^-0.9 holds 0.25 of its 10 within 1e-16 of u = 1, where 1 - u
-    # rounds; as offsets, the nodes reach 1.5e-275 of the end
-    q = integrate(Integrand(lambda y: math.exp(-0.9 * _end_logs(y)[1]),
+    # rounds; as logs, the nodes reach e^-34,599 of the end
+    q = integrate(Integrand(lambda node: math.exp(-0.9 * node[1] + node[2]),
                             0.0, 1.0, True))
     assert q.rule == "tanh_sinh" and abs(q.value - 10.0) <= 1e-12
 
 
-def test_quadpack_takes_end_offsets_too(monkeypatch):
+def test_quadpack_takes_end_logs_too(monkeypatch):
     # the kink keeps the rule from settling; QUADPACK's nodes reach the
-    # integrand as offsets, and none as 0, an end
+    # integrand as the logs of u and 1 - u at weight 1, and none at an end
     seen = []
 
-    def f(y):
-        seen.append(y)
-        return abs((y if y > 0.0 else 1.0 + y) - 0.3)
+    def f(node):
+        seen.append(node)
+        lu, lw, lwt = node
+        return math.exp(lwt) * abs(math.exp(lu) - 0.3)
 
     calls = _count_quadpack(monkeypatch)
     q = integrate(Integrand(f, 0.0, 1.0, True))
     assert len(calls) == 1 and q.rule == "quadpack"
     assert abs(q.value - 0.29) < 1e-14
-    assert 0.0 not in seen and min(seen) < 0.0 < max(seen) <= 0.5
+    quadpack = [(lu, lw) for lu, lw, lwt in seen if lwt == 0.0]
+    assert len(quadpack) == calls[0][2]["neval"]
+    assert all(lu < 0.0 and lw < 0.0 for lu, lw in quadpack)
+    assert min(lu for lu, _ in quadpack) < math.log(0.5) < max(
+        lu for lu, _ in quadpack)

@@ -3,9 +3,11 @@ and exponential families and for the Frechet forms, typed refusals of
 divergent Frechet integrals before any quadrature (the PRH identities
 and expectation terms included), the PRH decomposition against the transformed model, and the
 closed forms by weight exponent against mpmath. The right-infinite kernels
-and the PRH terms run in u = K(x) on the tanh-sinh rule at exact end
-offsets."""
+and the PRH terms run in u = K(x) on the tanh-sinh rule at its end
+logs."""
 
+import dataclasses
+import json
 import math
 
 import mpmath as mp
@@ -455,7 +457,7 @@ def test_builtin_tag_without_growth_takes_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# Right-infinite kernels and PRH terms in u = K(x), at exact end offsets
+# Right-infinite kernels and PRH terms in u = K(x), at the rule's end logs
 # ---------------------------------------------------------------------------
 
 #: The 69 finite cells of Frechet(1, 4), Weibull shape 2 and exponential(1)
@@ -529,10 +531,13 @@ def test_prh_terms_of_exponential_at_order_1_5():
 
 @pytest.mark.parametrize("family,u", [("exponential", 30.0),
                                       ("exponential", 60.0),
+                                      ("exponential", 70.0),
+                                      ("exponential", 200.0),
                                       ("frechet", 800.0)])
 def test_tau_deep_in_the_tail(family, u):
     # u = K(x) on (K(lo), 1) with 1 - K(lo) below 1e-11: ln u is taken
-    # from 1 - u; QAGI's values were up to 7% off, inside abs_tol
+    # from 1 - u; QAGI's values were up to 7% off, inside abs_tol, and
+    # 2.5e-6 off past 1 - K(lo) = e^-64
     model = FRECHET if family == "frechet" else FAMILIES[family][0]
     if family == "frechet":  # (x^-4)^1.5 = x^-6
         expected = u ** -5 / 5 / math.gamma(2.5)
@@ -546,14 +551,61 @@ def test_tau_deep_in_the_tail(family, u):
 
 @pytest.mark.parametrize("b,c,name", [(0.7, 5.0, "one"), (0.7, 5.0, "x2"),
                                       (3.0, 10.0, "sqrtx")])
-def test_near_the_divergence_bound_the_tail_goes_to_qagi(b, c, name):
+def test_near_the_divergence_bound_the_tail_stays_on_the_rule(b, c, name):
     # at 1.05 (p + 1) / c the integrand in u grows like (1 - u)^{-1 + e},
     # e = 0.05 (p + 1) / c <= 0.03: a share 1e-275^e of its mass lies past
-    # the rule's last node, and QUADPACK takes the same integral in x
+    # t = 6, and none to speak of past the rule's last node at t = 10
     psi = BUILTIN_WEIGHTS[name]()
     gamma = 1.05 * (psi.growth + 1.0) / c
     model = make_frechet(b, c)
     report = wfgcpe(model, psi, gamma, method="quadrature")
     expected = wfgcpe(model, psi, gamma, method="closed_form").value
-    assert report.quadrature.rule == "quadpack"
+    assert report.quadrature.rule == "tanh_sinh"
     assert abs(report.value - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("c", [2.0, 4.0])
+@pytest.mark.parametrize("name", ["one", "x", "x2", "sqrtx"])
+def test_undeclared_tail_exponent_settles_on_the_rule_or_diverges(c, name):
+    # with no tail index the gate passes every cell to quadrature: at or
+    # below the bound the log sum overflows at the far nodes and QUADPACK
+    # in u gives up; above it the rule holds the tail out to t = 10
+    model = dataclasses.replace(make_frechet(1.0, c), tail_index=None)
+    psi = BUILTIN_WEIGHTS[name]()
+    bound = (psi.growth + 1.0) / c
+    for k in (0.5, 0.95, 1.0):
+        with pytest.raises(NonConvergence):
+            wfgcpe(model, psi, k * bound, method="quadrature")
+    report = wfgcpe(model, psi, 1.05 * bound, method="quadrature")
+    expected = wfgcpe(make_frechet(1.0, c), psi, 1.05 * bound,
+                      method="closed_form").value
+    assert report.quadrature.rule == "tanh_sinh"
+    assert abs(report.value - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("gamma, expected", [(0.02, 252818.5247145362864),
+                                             (0.03, 75311.14093851754)])
+def test_exponential_x2_near_gamma_0_holds_its_far_tail(gamma, expected):
+    # in u the integrand decays like (1 - u)^{g - 1} times logs: at
+    # g = 0.02 a share 3e-6 of its mass lies past t = 6, 1.5e-275 from 1
+    assert abs(_mp_wfgcpe(lambda x: x, "x2", gamma) / expected - 1) < 1e-15
+    report = wfgcpe(make_exponential(1.0), BUILTIN_WEIGHTS["x2"](), gamma)
+    assert report.quadrature.rule == "tanh_sinh"
+    assert abs(report.value - expected) <= 1e-12 * expected
+
+
+def test_exponential_x2_near_gamma_0_scales_with_the_rate():
+    # x -> x / rate: ln K is the same function of rate x, so the entropy
+    # of psi = x^2 scales by rate^-3
+    psi, gamma, rate = BUILTIN_WEIGHTS["x2"](), 0.023, 0.00345
+    unit = wfgcpe(make_exponential(1.0), psi, gamma).value
+    got = wfgcpe(make_exponential(rate), psi, gamma).value
+    assert abs(got - rate ** -3 * unit) <= 1e-12 * got
+
+
+def test_compute_prints_the_far_tail_value(capsys):
+    code = main(["compute", "--dist", "exponential", "--theta", "1",
+                 "--weight", "x2", "--gamma", "0.02", "--format", "json"])
+    value = json.loads(capsys.readouterr().out)["rows"][0]["value"]
+    assert code == 0
+    assert abs(value - 252818.5247145362864) <= 1e-12 * value
