@@ -282,7 +282,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
         finite_mean = False
 
     # (a) -ln K >= 1 - K
-    rhs_a = _log_kernel_integral(lc, p, gamma, lo, hi, "one_minus", model)[0]
+    rhs_a = _log_kernel_integral(lc, psi, gamma, lo, hi, "one_minus",
+                                 model)[0]
     reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
                             upper=False))
 
@@ -300,8 +301,9 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     else:
         def f_b(node):
             lu, lw, lwt = node
-            x, l = model.quantile_logs(lu, lw)
-            log_p = -x if exp_neg else math.log(p(x))
+            x, lx, l = model.quantile_logs(lu, lw)
+            log_p = (-x if exp_neg else psi.power * lx if psi.power
+                     else math.log(p(x)))
             return math.exp(lwt) * (log_p + gamma * _log_neg_log(lu, lw) + l)
 
     try:

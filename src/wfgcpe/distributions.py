@@ -39,9 +39,10 @@ class DistributionModel:
     Every model carries ``log_cdf`` and ``log_survival`` (``ln K`` and
     ``ln(1 - K)``): as declared by the family, or else derived from this
     model's ``cdf``, also after ``dataclasses.replace`` swaps the ``cdf``.
-    Likewise ``quantile_logs(ln u, ln(1 - u))`` gives ``x = Q(u)`` and
-    ``ln(1/lambda(x))``, ``lambda = k/K``, for the integrals in ``u``: exact
-    in both logs as declared, at ``u = e^{ln u}`` as derived.
+    Likewise ``quantile_logs(ln u, ln(1 - u))`` gives ``x = Q(u)``, ``ln x``
+    and ``ln(1/lambda(x))``, ``lambda = k/K``, for the integrals in ``u``:
+    exact in both logs as declared (``ln x`` finite where ``x`` overflows),
+    at ``u = e^{ln u}`` as derived.
 
     ``closed_wfgcpe(p, gamma)`` returns the closed-form entropy for the
     weight ``x^p``, or ``None`` where the family has none for that
@@ -74,6 +75,9 @@ class DistributionModel:
             object.__setattr__(self, "quantile_logs", partial(
                 _quantile_logs_of, self.quantile, self.pdf, self.support[1]))
 
+    def survival(self, x: float) -> float:
+        return 1.0 - self.cdf(x)
+
     def reversed_hazard(self, x: float) -> float:
         k = self.cdf(x)
         if k <= 0.0:
@@ -82,9 +86,11 @@ class DistributionModel:
         return self.pdf(x) / k
 
     def expectation(self, g: Callable[[float], float]) -> float:
-        """E[g(X)] through the quantile transform, at end logs on (0, 1)."""
-        return integrate(_quantile_kernel(self, g, self.support[0],
-                                          (0.0,) * 5)).value
+        """E[g(X)] in u = K(x), at end logs on a right-infinite support."""
+        q, (lo, hi) = self.quantile, self.support
+        return integrate(_quantile_kernel(self, g, lo, (0.0,) * 5)
+                         if math.isinf(hi) else
+                         Integrand(lambda u: g(q(u)), 0.0, 1.0)).value
 
     def mean(self) -> float:
         return self.expectation(lambda x: x)
@@ -105,7 +111,8 @@ def _quantile_logs_of(quantile, pdf, hi: float, lu: float, lw: float):
     u = math.exp(lu)
     x = quantile(u) if u < 1.0 else hi
     d = pdf(x)
-    return x, lu - math.log(d) if d > 0.0 else math.inf
+    return (x, math.log(x) if x > 0.0 else -math.inf,
+            lu - math.log(d) if d > 0.0 else math.inf)
 
 
 def _log_neg_log(la: float, lb: float) -> float:
@@ -113,20 +120,22 @@ def _log_neg_log(la: float, lb: float) -> float:
     return math.log(-la) if la < -_NEAR_ONE else lb
 
 
-def _quantile_kernel(model: DistributionModel, h: Callable[[float], float],
-                     lo: float, powers: tuple) -> Integrand:
+def _quantile_kernel(model: DistributionModel,
+                     h: Optional[Callable[[float], float]], lo: float,
+                     powers: tuple, n: float = 0.0) -> Integrand:
     """The integral over ``x > lo`` of a kernel, in ``u = K(x)`` on (0, 1)
     at end logs (see ``Integrand``): the one route for a right-infinite
     support, which keeps ``(1 - u)^{-1+e}`` growth near a divergence bound.
 
-    With ``powers = (c, r, a, b, m)`` the integrand is ``h(x) (-ln u)^c
-    (-ln(1 - u))^r u^a (1 - u)^b e^{m l}`` at ``x = Q(u)``, ``l =
+    With ``powers = (c, r, a, b, m)`` the integrand is ``h(x) x^n (-ln
+    u)^c (-ln(1 - u))^r u^a (1 - u)^b e^{m l}`` at ``x = Q(u)``, ``l =
     ln(1/lambda(x))`` from ``quantile_logs``; a zero power's factor is not
-    evaluated. As ``K dx = e^l du``, ``psi K (-ln K)^gamma dx`` has powers
-    ``(gamma, 0, 0, 0, 1)``. ``u = k0 + w0 v``, ``k0 = K(lo)``, maps (k0,
-    1) onto (0, 1) with ``1 - u = w0 (1 - v)``, which keeps both logs exact
-    (``u`` as ``1 - w0 (1 - v)`` above 1/2), and ``du = w0 dv``. ``h``
-    past the largest float is ``inf``, as ``x * x`` is.
+    evaluated, and ``h`` None is 1. As ``K dx = e^l du``, ``psi K (-ln
+    K)^gamma dx`` has powers ``(gamma, 0, 0, 0, 1)``. ``u = k0 + w0 v``,
+    ``k0 = K(lo)``, maps (k0, 1) onto (0, 1) with ``1 - u = w0 (1 - v)``,
+    which keeps both logs exact (``u`` as ``1 - w0 (1 - v)`` above 1/2),
+    and ``du = w0 dv``. All but ``h(x)`` join the one ``exp`` as logs
+    (``x^n`` as ``n ln x``); ``h`` past the largest float is ``inf``.
     """
     c, r, a, b, m = powers
     ql, lw0 = model.quantile_logs, model.log_survival(lo)
@@ -137,16 +146,17 @@ def _quantile_kernel(model: DistributionModel, h: Callable[[float], float],
         lw = lw0 + l1mv
         lu = (lv if not k0 else log1p(-exp(lw)) if lw < -_LN2
               else log(k0 + exp(lw0 + lv)))
-        x, l = ql(lu, lw)
+        x, lx, l = ql(lu, lw)
         try:
-            p = h(x)
+            p = 1.0 if h is None else h(x)
         except OverflowError:
             return math.inf
         if p == 0.0:  # no mass, where e^l may overflow
             return 0.0
         return p * exp((c * _log_neg_log(lu, lw) if c else 0.0)
                        + (r * _log_neg_log(lw, lu) if r else 0.0)
-                       + a * lu + b * lw + (m * l if m else 0.0) + lw0 + lwt)
+                       + a * lu + b * lw + (m * l if m else 0.0)
+                       + (n * lx if n else 0.0) + lw0 + lwt)
 
     return Integrand(f, 0.0, 1.0, True)
 
@@ -192,7 +202,7 @@ def make_power(b: float, c: float) -> DistributionModel:
         except ValueError:  # an ndarray
             return np.clip(x / b, 0.0, 1.0) ** c
 
-    log_b_c = math.log(b / c)  # lambda(x) = c / x
+    log_b, log_b_c = math.log(b), math.log(b / c)  # lambda(x) = c / x
 
     return DistributionModel(
         cdf=cdf,
@@ -201,12 +211,13 @@ def make_power(b: float, c: float) -> DistributionModel:
         support=(0.0, b),
         family="power", params={"b": b, "c": c},
         closed_wfgcpe=closed,
-        log_cdf=lambda x: (c * (math.log(x) - math.log(b)) if 0.0 < x < b
+        log_cdf=lambda x: (c * (math.log(x) - log_b) if 0.0 < x < b
                            else (0.0 if x >= b else -math.inf)),
         log_survival=lambda x: (
-            _log1m_exp(c * (math.log(b) - math.log(x))) if 0.0 < x < b
+            _log1m_exp(c * (log_b - math.log(x))) if 0.0 < x < b
             else (-math.inf if x >= b else 0.0)),
-        quantile_logs=lambda lu, lw: (b * math.exp(lu / c), lu / c + log_b_c),
+        quantile_logs=lambda lu, lw: (b * math.exp(lu / c), lu / c + log_b,
+                                      lu / c + log_b_c),
     )
 
 
@@ -237,7 +248,8 @@ def make_uniform_shifted(a: float) -> DistributionModel:
         closed_wfgcpe=closed,
         log_cdf=lambda x: (math.log(x - a) if a < x < a + 1.0
                            else (0.0 if x >= a + 1.0 else -math.inf)),
-        quantile_logs=lambda lu, lw: (a + math.exp(lu), lu),  # lambda = 1/u
+        quantile_logs=lambda lu, lw: (  # lambda = 1/u
+            a + math.exp(lu), math.log(a + math.exp(lu)) if a else lu, lu),
     )
 
 
@@ -273,7 +285,7 @@ def make_frechet(b: float, c: float) -> DistributionModel:
 
     def quantile_logs(lu, lw):  # lambda = b c x^{-c-1}; x^{c+1} overflows
         lx = (log_b - _log_neg_log(lu, lw)) / c
-        return (math.exp(lx) if lx < 709.0 else math.inf,
+        return (math.exp(lx) if lx < 709.0 else math.inf, lx,
                 (c + 1.0) * lx - log_bc)
 
     return DistributionModel(
@@ -311,14 +323,15 @@ def make_weibull_square(theta: float) -> DistributionModel:
                 raise
             return math.inf
 
-    log_4theta = math.log(4.0 * theta)
+    log_theta, log_4theta = math.log(theta), math.log(4.0 * theta)
 
     def quantile_logs(lu, lw):
         # lambda = 2 theta x (1 - u) / u, theta x^2 = t = -ln(1 - u); where
         # u underflows, ln t = ln u to within u
         t = -lw
         lt = math.log(t) if t > 0.0 else lu
-        return math.sqrt(t / theta), lu - lw - 0.5 * (log_4theta + lt)
+        return (math.sqrt(t / theta), 0.5 * (lt - log_theta),
+                lu - lw - 0.5 * (log_4theta + lt))
 
     return DistributionModel(
         cdf=cdf,
@@ -363,7 +376,9 @@ def make_exponential(rate: float) -> DistributionModel:
         log_cdf=lambda x: _log1m_exp(rate * x) if x > 0 else -math.inf,
         log_survival=lambda x: -rate * x if x > 0 else 0.0,
         tail_index=math.inf,
-        quantile_logs=lambda lu, lw: (-lw / rate, lu - lw - log_rate),
+        quantile_logs=lambda lu, lw: (  # ln(-lw) as in make_weibull_square
+            -lw / rate, (math.log(-lw) if lw < 0.0 else lu) - log_rate,
+            lu - lw - log_rate),
     )
 
 
@@ -436,9 +451,9 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
 
     def quantile_logs(lu, lw):
         # 1 - u^{1/eta} = (1 - u)/eta where u rounds to 1
-        x, l1 = base_logs(lu / e, _log1m_exp(-lu / e) if lu < -_NEAR_ONE
-                          else lw - log_e)
-        return x, l1 - log_e
+        x, lx, l1 = base_logs(lu / e, _log1m_exp(-lu / e) if lu < -_NEAR_ONE
+                              else lw - log_e)
+        return x, lx, l1 - log_e
 
     def cdf(x):
         return base.cdf(x) ** e
@@ -464,16 +479,19 @@ def _prh_term(base: DistributionModel, e: float, psi: WeightFunction,
               gamma: float, tilde: bool = False) -> float:
     """``E`` (``Et`` with ``tilde``) of ``prh_expectation_terms``, in
     ``v = K1(x) = u^{1/eta}``: ``du = eta v^{eta-1} dv``, ``-ln u = -eta
-    ln v`` and ``1/lambda1 = e^l``.
+    ln v`` and ``1/lambda1 = e^l``. For ``psi = x^p``, ``x psi`` is
+    ``x^{p+1}`` and ``x psi'`` is ``p x^p``.
     """
     require_positive(gamma=gamma)
     if tilde and psi.derivative is not None and psi.monotonicity == "constant":
         return 0.0
-    p = psi.psi_prime if tilde else psi.psi
+    p, fn = psi.power, psi.psi_prime if tilde else psi.psi
+    h, n, s = ((lambda x: x * fn(x)), 0.0, 1.0) if p is None else (
+        None, p if tilde else p + 1.0, p if tilde else 1.0)
     q = integrate(_quantile_kernel(
-        base, lambda x: x * p(x), base.support[0],
-        (gamma - 1.0, 0.0, e - 1.0, 0.0, 1.0 if tilde else 0.0)))
-    return float(e ** gamma * q.value / _gamma(gamma))
+        base, h, base.support[0],
+        (gamma - 1.0, 0.0, e - 1.0, 0.0, 1.0 if tilde else 0.0), n))
+    return float(s * e ** gamma * q.value / _gamma(gamma))
 
 
 def prh_expectation_terms(base: DistributionModel, eta,

@@ -83,14 +83,18 @@ def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
     log-survival), ``nl^gamma`` (``tau``) or
     ``e^{-nl} (1 - e^{-nl})^gamma`` (``one_minus``). The one choice of
     variable for every kernel integral: x on a finite interval, else
-    ``u = K(x)`` of ``log_k``'s ``model`` in ``_quantile_kernel``.
+    ``u = K(x)`` of ``log_k``'s ``model`` in ``_quantile_kernel``, where
+    a ``WeightFunction`` with a ``power`` joins the log sum as ``p ln x``.
 
     ``log_k`` is an exact log, so tails where ``K`` rounds to 1 keep their
     mass; ``0 ln 0 = 0`` where it is 0 or infinite. A divergent integral
     ends in ``NonConvergence`` from ``integrate``.
     """
     x_kernel, powers = _KINDS[kind]
-    q = integrate(_quantile_kernel(model, psi, lo, powers(gamma))
+    n = getattr(psi, "power", None)
+    psi = getattr(psi, "psi", psi)
+    q = integrate(_quantile_kernel(model, psi if n is None else None, lo,
+                                   powers(gamma), n or 0.0)
                   if math.isinf(hi) else
                   Integrand(x_kernel(log_k, psi, gamma), lo, hi))
     return float(q.value / _gamma(gamma + 1.0)), q
@@ -120,7 +124,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
             raise DomainError(f"no closed form for family {model.family!r}, "
                               f"weight {psi.tag!r}")
 
-    value, q = _log_kernel_integral(model.log_cdf, psi.psi, gamma,
+    value, q = _log_kernel_integral(model.log_cdf, psi, gamma,
                                     *model.support, model=model)
     return MeasureReport(value, QUADRATURE, q)
 
@@ -196,7 +200,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
     if u >= hi:
         return 0.0
     _refuse_divergent_tail(model, psi, gamma)
-    return _log_kernel_integral(model.log_cdf, psi.psi, gamma, max(u, lo),
+    return _log_kernel_integral(model.log_cdf, psi, gamma, max(u, lo),
                                 hi, "tau", model)[0]
 
 
@@ -205,7 +209,7 @@ def wfgcre(model: DistributionModel, psi: WeightFunction,
     """Residual form: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
     require_positive(gamma=gamma)
     _refuse_divergent_tail(model, psi, gamma, residual=True)
-    return _log_kernel_integral(model.log_survival, psi.psi, gamma,
+    return _log_kernel_integral(model.log_survival, psi, gamma,
                                 *model.support, "residual", model)[0]
 
 

@@ -58,6 +58,8 @@ class WeightFunction:
     #: ``p`` with ``psi(x) ~ x^p`` as ``x -> inf`` (``-inf``: faster decay
     #: than any power; ``None``: undeclared), for the divergence rule.
     growth: Optional[float] = None
+    #: ``p`` where ``psi`` is exactly ``x^p``, taken as ``p ln x`` in ``u``
+    power: Optional[float] = None
 
     def __call__(self, x):
         return self.psi(x)
@@ -97,24 +99,24 @@ class WeightFunction:
 
 def weight_one() -> WeightFunction:
     return WeightFunction(lambda x: 1.0, lambda x: x, lambda x: 0.0,
-                          CONSTANT, "one", 0.0)
+                          CONSTANT, "one", 0.0, 0.0)
 
 
 def weight_x() -> WeightFunction:
     return WeightFunction(lambda x: x, lambda x: 0.5 * x * x, lambda x: 1.0,
-                          INCREASING, "x", 1.0)
+                          INCREASING, "x", 1.0, 1.0)
 
 
 def weight_x_squared() -> WeightFunction:
     return WeightFunction(lambda x: x * x, lambda x: x ** 3 / 3.0,
-                          lambda x: 2.0 * x, INCREASING, "x2", 2.0)
+                          lambda x: 2.0 * x, INCREASING, "x2", 2.0, 2.0)
 
 
 def weight_sqrt_x() -> WeightFunction:
     return WeightFunction(lambda x: math.sqrt(x),
                           lambda x: (2.0 / 3.0) * x ** 1.5,
                           lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf,
-                          INCREASING, "sqrtx", 0.5)
+                          INCREASING, "sqrtx", 0.5, 0.5)
 
 
 def weight_exp_neg() -> WeightFunction:
@@ -143,7 +145,7 @@ def power_weight(exponent: float) -> WeightFunction:
     return WeightFunction(lambda x: x ** p,
                           lambda x: x ** (p + 1) / (p + 1),
                           lambda x: p * x ** (p - 1) if x > 0 else 0.0,
-                          INCREASING, f"pow{p:g}", p)
+                          INCREASING, f"pow{p:g}", p, p)
 
 
 def custom_weight(psi, antiderivative=None, derivative=None,

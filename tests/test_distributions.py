@@ -389,10 +389,12 @@ def test_replace_cdf_derives_the_logs_again():
     prh_transform(make_weibull_square(0.6), 0.4), _square_model()],
     ids=lambda m: m.family)
 def test_quantile_logs_give_the_quantile_and_the_reversed_hazard(model):
-    # (x, ln(1/lambda)) at ln u, ln(1 - u): declared, composed or derived
+    # (x, ln x, ln(1/lambda)) at ln u, ln(1 - u): declared, composed or
+    # derived
     for u in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
-        x, l = model.quantile_logs(math.log(u), math.log1p(-u))
+        x, lx, l = model.quantile_logs(math.log(u), math.log1p(-u))
         assert abs(x - model.quantile(u)) <= 1e-12 * model.quantile(u)
+        assert abs(lx - math.log(x)) <= 1e-12 * max(1.0, abs(lx))
         assert abs(l - math.log(u / model.pdf(x))) <= 1e-9 * max(1.0, abs(l))
 
 
@@ -401,5 +403,6 @@ def test_replace_quantile_derives_the_quantile_logs_again():
     cube = dataclasses.replace(m, cdf=lambda x: min(max(x, 0.0), 1.0) ** 3,
                                pdf=lambda x: 3.0 * x * x if 0 < x < 1 else 0,
                                quantile=lambda u: u ** (1.0 / 3.0))
-    x, l = cube.quantile_logs(math.log(0.125), math.log1p(-0.125))
+    x, lx, l = cube.quantile_logs(math.log(0.125), math.log1p(-0.125))
     assert abs(x - 0.5) <= 1e-15 and abs(l - math.log(0.125 / 0.75)) <= 1e-15
+    assert lx == math.log(x)

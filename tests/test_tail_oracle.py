@@ -121,6 +121,26 @@ def test_frechet_residual_cell_holds_the_engine_tolerance():
     assert abs(got - expected) <= 1e-9 * expected
 
 
+#: wfgcre of Frechet(1, 4) with weight x^p, p just below its bound 3, from
+#: 40-digit mpmath in z = ln x^4: below z = 90 by quadrature, above it
+#: (where S = e^-z to 40 digits) as e^{-g-1} Gamma(g + 1, e z), e = 1 -
+#: (p + 1)/4. The integrand in u grows like (1 - u)^{-1 + e}, and x^p
+#: passes the largest float from x = 1e106.
+FRECHET_RESIDUAL_NEAR_BOUND = [
+    (2.8, 0.3, 12.328635851788883581), (2.8, 2.0, 2000.0097014918860713),
+    (2.9, 0.3, 30.284398935830066026), (2.9, 1.0, 400.01545303019467721),
+    (2.9, 2.0, 16000.007101540457061), (2.92, 2.0, 31250.006534654998515),
+    (2.95, 0.3, 74.505407980731062081), (2.95, 1.0, 1600.0137833753704263),
+    (2.95, 2.0, 128000.00565280585853)]
+
+
+@pytest.mark.parametrize("p,gamma,expected", FRECHET_RESIDUAL_NEAR_BOUND)
+def test_frechet_residual_near_its_bound_keeps_the_far_tail(p, gamma,
+                                                            expected):
+    got = wfgcre(make_frechet(1.0, 4.0), power_weight(p), gamma)
+    assert abs(got - expected) <= 1e-12 * expected
+
+
 #: Frechet(1, 4) with weight x^p diverges for gamma <= (p + 1) / 4; at
 #: these cells QUADPACK's estimate once passed and the value came out
 #: negative. The declared tail index and weight growth now refuse them.
@@ -564,12 +584,48 @@ def test_near_the_divergence_bound_the_tail_stays_on_the_rule(b, c, name):
     assert abs(report.value - expected) <= 1e-9 * expected
 
 
+@pytest.mark.parametrize("c", [1.5, 2.0, 3.0, 4.0, 6.0, 10.0])
+@pytest.mark.parametrize("name", ["one", "x", "x2", "sqrtx"])
+def test_within_two_percent_of_the_bound_no_value_is_silently_off(c, name):
+    # at k (p + 1) / c the integrand in u grows like (1 - u)^{-1 + e}, e =
+    # (k - 1)(p + 1)/c: past x = e^709.78 (x^2 past 1.8e308 from x = 1e154)
+    # lies a share e^{-709.78 c e} of the mass, kept by p ln x in the log
+    # sum; past the rule's last node, e^-34,599 from 1, a share e^{-34,599
+    # e}. Each cell holds 1e-10 of the closed form, or, where e < 1e-3 may
+    # leave more than that past t = 10, raises
+    model, psi = make_frechet(1.0, c), BUILTIN_WEIGHTS[name]()
+    for k in (1.002, 1.005, 1.01, 1.02):
+        gamma = k * (psi.growth + 1.0) / c
+        expected = wfgcpe(model, psi, gamma, method="closed_form").value
+        try:
+            got = wfgcpe(model, psi, gamma, method="quadrature").value
+        except NonConvergence:
+            assert (k - 1.0) * (psi.growth + 1.0) / c < 1e-3
+            continue
+        assert abs(got - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("c", [2.0, 4.0])
+@pytest.mark.parametrize("name", ["x", "x2", "sqrtx"])
+def test_prh_terms_near_the_bound_keep_the_far_tail(c, name):
+    # Frechet(1, c)^eta is Frechet(eta, c): the decomposition's x psi =
+    # x^{p+1} and x psi' = p x^p run as powers of x in the log sum
+    psi, eta = BUILTIN_WEIGHTS[name](), 1.7
+    for k in (1.01, 1.05):
+        gamma = k * (psi.growth + 1.0) / c
+        expected = wfgcpe(make_frechet(eta, c), psi, gamma,
+                          method="closed_form").value
+        got = prh_wfgcpe(make_frechet(1.0, c), eta, psi, gamma)
+        assert abs(got - expected) <= 1e-9 * expected
+
+
 @pytest.mark.parametrize("c", [2.0, 4.0])
 @pytest.mark.parametrize("name", ["one", "x", "x2", "sqrtx"])
 def test_undeclared_tail_exponent_settles_on_the_rule_or_diverges(c, name):
     # with no tail index the gate passes every cell to quadrature: at or
-    # below the bound the log sum overflows at the far nodes and QUADPACK
-    # in u gives up; above it the rule holds the tail out to t = 10
+    # below the bound the terms do not decay by t = 10, or the log sum
+    # overflows and QUADPACK in u gives up; above it the rule holds the
+    # tail out to t = 10
     model = dataclasses.replace(make_frechet(1.0, c), tail_index=None)
     psi = BUILTIN_WEIGHTS[name]()
     bound = (psi.growth + 1.0) / c
