@@ -290,8 +290,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}, with
     # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u);
     # on a right-infinite support ln psi(x) + gamma ln(-ln u) + ln(1/lambda)
-    # at end logs, where ln psi = -x for e^{-x}: its -E[X] = -inf makes the
-    # bound 0
+    # at end logs, where ln psi = -x for e^{-x}, which only its tag names (no
+    # field declares it): its -E[X] = -inf makes the bound 0
     exp_neg = psi.tag == "expneg" and psi.growth == -math.inf
     if finite:
         def f_b(u):
@@ -357,8 +357,8 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
 
 
 def _power_of_weight(xi: WeightFunction, gamma: float) -> WeightFunction:
-    if xi.exact_power is not None:  # (x^p)^gamma = x^{p gamma}
-        return power_weight(xi.exact_power * gamma)
+    if xi.power is not None:  # (x^p)^gamma = x^{p gamma}
+        return power_weight(xi.power * gamma)
     return WeightFunction(lambda x: xi(x) ** gamma, None, None,
                           xi.monotonicity, f"{xi.tag}^{gamma:g}")
 
@@ -516,11 +516,14 @@ def _spacings_from_uniforms(u: np.ndarray, population: DistributionModel,
 
 def _array_native(population: DistributionModel,
                   weight: WeightFunction) -> bool:
-    """Whether the model's quantile and the weight's ``Psi`` take arrays,
-    probed on one row of two points. Callables written for floats (the
-    quadrature fallback of ``Psi`` among them) are mapped holding the
-    interpreter lock, so threads gain nothing on them, and ``quad`` is
-    not documented as thread-safe."""
+    """Whether the chunks may run on threads: on the self-density path,
+    which only sorts and diffs, or where the model's quantile and the
+    weight's ``Psi`` take arrays, probed on one row of two points.
+    Callables written for floats (the quadrature fallback of ``Psi``
+    among them) are mapped holding the interpreter lock, so threads gain
+    nothing on them, and ``quad`` is not documented as thread-safe."""
+    if weight.antiderivative is population.cdf:
+        return True
     x = _array_call(population.quantile, np.array([[0.25, 0.75]]))
     return x is not None and _array_call(weight.big_psi, x) is not None
 
@@ -624,8 +627,8 @@ def clt_diagnostic(config: SimulationConfig,
     """Standardize replicate estimates and compare to a standard normal.
 
     Moments come from the exact formulas when available (Weibull shape-2
-    or ``K = x^2`` population with weight ``x``; self-density weight for
-    any population), else from the Monte Carlo sample itself. The pass
+    or ``K = x^2`` population with weight ``x``; the population's own
+    self-density weight), else from the Monte Carlo sample itself. The pass
     verdict applies the asymptotic Kolmogorov-Smirnov critical value with
     a 1.5 safety factor, asserted only for ``n >= 200``. Fewer than 2
     replicates, or estimates with zero spread, are refused.

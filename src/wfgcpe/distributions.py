@@ -46,10 +46,9 @@ class DistributionModel:
 
     ``closed_wfgcpe(p, gamma)`` returns the closed-form entropy for the
     weight ``x^p``, or ``None`` where the family has none for that
-    exponent; it is called only after ``_refuse_divergent_tail``, which
-    reads ``tail_index``: ``a`` with ``-ln K(x) ~ C x^{-a}`` as
-    ``x -> inf``, ``inf`` where lighter than any power, ``None`` where
-    undeclared.
+    exponent or the integral diverges. ``_refuse_divergent_tail`` reads
+    ``tail_index``: ``a`` with ``-ln K(x) ~ C x^{-a}`` as ``x -> inf``,
+    ``inf`` where lighter than any power, ``None`` where undeclared.
     """
 
     cdf: Callable[[float], float]
@@ -264,6 +263,8 @@ def make_frechet(b: float, c: float) -> DistributionModel:
 
     def closed(p, g):
         m = p + 1.0
+        if g <= m / c:  # divergent, with or without a declared tail index
+            return None
         return b ** (m / c) * _gamma(g - m / c) / (c * _gamma(g + 1.0))
 
     def cdf(x):

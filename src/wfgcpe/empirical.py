@@ -182,13 +182,14 @@ def _exact_moments(population, weight: WeightFunction, n: int,
     """Exact, covariance-corrected moments of the estimator where the
     population and weight admit them, and their source; else
     ``(None, "monte_carlo")``."""
+    # by tag, not ``antiderivative is cdf``, which bench/tracing.py breaks
     if weight.tag == "self_density":
         return (exact_moments_self_weight(n, gamma, spacing_covariance=True),
                 "exact_self_weight")
-    if weight.tag == "x" and population.family == "weibull_square":
+    if weight.power == 1.0 and population.family == "weibull_square":
         theta = population.params["theta"]
         return exact_moments_weibull(n, gamma, theta), "exact_weibull"
-    if weight.tag == "x" and (population.family, population.params) == (
+    if weight.power == 1.0 and (population.family, population.params) == (
             "power", {"b": 1.0, "c": 2.0}):
         return (exact_moments_power_square(n, gamma, spacing_covariance=True),
                 "exact_power_square")

@@ -104,10 +104,10 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
            method: str = "auto") -> MeasureReport:
     """Weighted fractional cumulative past entropy of ``model``.
 
-    ``method`` is ``"auto"`` (closed form when the family carries one for
-    the exponent of a builtin exact-power weight, else quadrature),
-    ``"closed_form"`` or ``"quadrature"``. A divergent tail is refused
-    before either.
+    ``method`` is ``"auto"`` (the family's closed form for an exact-power
+    weight's exponent, builtin or ``power_weight``, where it has one at
+    this ``gamma``; else quadrature), ``"closed_form"`` or
+    ``"quadrature"``. A divergent tail is refused before either.
     """
     require_positive(gamma=gamma)
     if method not in ("auto", CLOSED_FORM, QUADRATURE):
@@ -115,14 +115,14 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
     _refuse_divergent_tail(model, psi, gamma)
 
     if method != QUADRATURE:
-        closed, p = None, psi.exact_power
-        if model.closed_wfgcpe is not None and p is not None:
-            closed = model.closed_wfgcpe(p, gamma)
+        closed = None
+        if model.closed_wfgcpe is not None and psi.power is not None:
+            closed = model.closed_wfgcpe(psi.power, gamma)
         if closed is not None:
             return MeasureReport(float(closed), CLOSED_FORM)
         if method == CLOSED_FORM:
             raise DomainError(f"no closed form for family {model.family!r}, "
-                              f"weight {psi.tag!r}")
+                              f"weight {psi.tag!r}, gamma {gamma:g}")
 
     value, q = _log_kernel_integral(model.log_cdf, psi, gamma,
                                     *model.support, model=model)

@@ -25,10 +25,6 @@ DECREASING = "decreasing"
 CONSTANT = "constant"
 NEITHER = "neither"
 
-#: Tags of the builtin weights that are exactly ``x^growth``: the weights
-#: the families' closed forms and the xi^gamma power are written for.
-EXACT_POWER_TAGS = frozenset({"one", "sqrtx", "x", "x2"})
-
 
 def _array_call(fn, x: np.ndarray) -> Optional[np.ndarray]:
     """``fn(x)`` when ``fn`` takes arrays and keeps their shape, else
@@ -58,16 +54,13 @@ class WeightFunction:
     #: ``p`` with ``psi(x) ~ x^p`` as ``x -> inf`` (``-inf``: faster decay
     #: than any power; ``None``: undeclared), for the divergence rule.
     growth: Optional[float] = None
-    #: ``p`` where ``psi`` is exactly ``x^p``, taken as ``p ln x`` in ``u``
+    #: ``p`` where ``psi`` is exactly ``x^p`` (builtin powers and
+    #: ``power_weight``): ``p ln x`` in ``u``, the families' closed forms,
+    #: the xi^gamma power and the exact estimator moments
     power: Optional[float] = None
 
     def __call__(self, x):
         return self.psi(x)
-
-    @property
-    def exact_power(self) -> Optional[float]:
-        """``p`` for a builtin weight exactly ``x^p``, else ``None``."""
-        return self.growth if self.tag in EXACT_POWER_TAGS else None
 
     def psi_prime(self, x: float) -> float:
         """Derivative of the weight; central difference if no closed form."""

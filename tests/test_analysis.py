@@ -25,7 +25,7 @@ from wfgcpe.distributions import (make_custom, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   prh_transform)
-from wfgcpe.empirical import _estimator_coefficients
+from wfgcpe.empirical import _estimator_coefficients, _exact_moments
 from wfgcpe.errors import (ConstraintError, DomainError, PreconditionUnmet,
                            WfgcpeError)
 from wfgcpe.measures import wfgcpe
@@ -780,6 +780,22 @@ def test_float_only_callables_stay_on_the_calling_thread(monkeypatch, pools,
     assert np.array_equal(threaded.values, serial.values)
 
 
+def test_self_density_chunks_run_on_threads(monkeypatch, pools):
+    # the self-density path only sorts and diffs uniforms, so a model
+    # with float-only callables still runs its chunks on threads
+    weight = self_density_weight(SQUARE_FLOAT_ONLY)
+    assert analysis._array_native(SQUARE_FLOAT_ONLY, weight)
+    config = _config(replicates=40, n=5, population=SQUARE_FLOAT_ONLY,
+                     weight=weight)
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 10)  # 2 rows of n=5
+    monkeypatch.setattr(analysis, "_WORKERS", 1)
+    serial = simulate_estimator(config)
+    monkeypatch.setattr(analysis, "_WORKERS", 2)
+    threaded = simulate_estimator(config)
+    assert pools == [1]
+    assert np.array_equal(threaded.values, serial.values)
+
+
 ARRAY_FAMILIES = [
     make_power(2.0, 3.0), make_uniform_shifted(0.5), make_frechet(1.0, 4.0),
     make_weibull_square(1.5), make_exponential(2.0),
@@ -933,6 +949,17 @@ def test_clt_monte_carlo_moment_fallback():
     rep = clt_diagnostic(_config(weight=weight_one(), replicates=400, n=250))
     assert rep.moment_source == "monte_carlo"
     assert rep.passes is not None
+
+
+@pytest.mark.parametrize("weight, source", [
+    (power_weight(1.0), "exact_weibull"),
+    # psi = x^2 under the tag "x": its moments are not those of psi = x
+    (custom_weight(lambda x: x * x, lambda x: x ** 3 / 3.0, tag="x"),
+     "monte_carlo"),
+], ids=("power_weight", "x2_tagged_x"))
+def test_exact_moments_follow_the_weight_power(weight, source):
+    population = make_weibull_square(1.0)
+    assert _exact_moments(population, weight, 200, 0.5)[1] == source
 
 
 def test_clt_self_weight_source():

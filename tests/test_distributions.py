@@ -7,6 +7,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfgcpe import distributions
 from wfgcpe.distributions import (DistributionModel, PrhParameter,
@@ -18,8 +20,8 @@ from wfgcpe.distributions import (DistributionModel, PrhParameter,
                                   prh_transform, prh_wfgcpe)
 from wfgcpe.errors import ConstraintError, DomainError, ValidationError
 from wfgcpe.measures import wfgcpe
-from wfgcpe.weights import (piecewise_linear_weight, weight_one, weight_x,
-                            weight_x_squared)
+from wfgcpe.weights import (piecewise_linear_weight, power_weight,
+                            weight_one, weight_x, weight_x_squared)
 
 GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.75)
 
@@ -63,6 +65,21 @@ def test_closed_form_vs_quadrature(family, weights, g):
         closed = wfgcpe(m, by_tag[tag], g, method="closed_form").value
         quad = wfgcpe(m, by_tag[tag], g, method="quadrature").value
         assert abs(closed - quad) / abs(closed) <= 1e-7, (family, tag, g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.0, 3.0),
+       st.floats(0.1, 5.0), st.floats(0.1, 10.0))
+def test_power_weight_takes_the_closed_form(b, c, p, g, s):
+    # any exact-power weight, builtin or not, has the family's closed form;
+    # with x = b t the entropy of x^p scales as b^{p + 1}
+    psi = power_weight(p)
+    auto = wfgcpe(make_power(b, c), psi, g)
+    quad = wfgcpe(make_power(b, c), psi, g, method="quadrature").value
+    assert auto.method == "closed_form"
+    assert abs(auto.value - quad) <= 1e-12 * quad
+    scaled = wfgcpe(make_power(s * b, c), psi, g, method="quadrature").value
+    assert abs(scaled - s ** (p + 1.0) * quad) <= 1e-12 * scaled
 
 
 def test_frechet_closed_values():

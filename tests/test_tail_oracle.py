@@ -22,7 +22,7 @@ from wfgcpe.distributions import (make_exponential, make_frechet,
                                   prh_expectation_terms, prh_n_step,
                                   prh_recurrence_step, prh_transform,
                                   prh_wfgcpe)
-from wfgcpe.errors import ConstraintError, NonConvergence
+from wfgcpe.errors import ConstraintError, DomainError, NonConvergence
 from wfgcpe.measures import affine_wfgcpe, tau, wfgcpe, wfgcre
 from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight, power_weight,
                             self_density_weight)
@@ -637,6 +637,23 @@ def test_undeclared_tail_exponent_settles_on_the_rule_or_diverges(c, name):
                       method="closed_form").value
     assert report.quadrature.rule == "tanh_sinh"
     assert abs(report.value - expected) <= 1e-10 * expected
+
+
+def test_no_closed_form_at_or_below_an_undeclared_bound():
+    # the closed form answers only where the integral converges, so with
+    # no tail index to refuse a cell, auto falls to quadrature, which
+    # diverges, and closed_form has nothing to give
+    model = dataclasses.replace(make_frechet(1.0, 2.0), tail_index=None)
+    for name, gammas in (("one", (0.4, 0.5)), ("x", (0.4, 0.5, 0.75, 1.0))):
+        for gamma in gammas:
+            psi = BUILTIN_WEIGHTS[name]()
+            with pytest.raises(NonConvergence):
+                wfgcpe(model, psi, gamma)
+            with pytest.raises(DomainError, match="no closed form"):
+                wfgcpe(model, psi, gamma, method="closed_form")
+    report = wfgcpe(model, BUILTIN_WEIGHTS["one"](), 1.0)
+    assert report.method == "closed_form"
+    assert abs(report.value - math.sqrt(math.pi) / 2.0) <= 1e-15
 
 
 @pytest.mark.parametrize("gamma, expected", [(0.02, 252818.5247145362864),
