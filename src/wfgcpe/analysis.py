@@ -265,14 +265,15 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     non-monotone weight) are reported with ``note`` explaining why and do
     not fail. The log-sum bound is implemented in the form that the
     log-sum inequality actually yields, with the ``1/Gamma(gamma+1)``
-    factor on the right-hand side.
+    factor on the right-hand side; its ``ln D + H``, one integral in ``u``,
+    is inapplicable where it diverges or the density is 0 in the support.
     """
     reports = []
     cpe = wfgcpe(model, psi, gamma).value
     lo, hi = model.support
     finite = math.isfinite(hi)
     g1 = _gamma(gamma + 1.0)
-    lc, p, q, pdf = model.log_cdf, psi.psi, model.quantile, model.pdf
+    lc, p = model.log_cdf, psi.psi
     # the mean is the residual kernel at psi = 1: its rule says where the
     # mean diverges
     try:
@@ -288,27 +289,24 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
                             upper=False))
 
     # (b) log-sum: Gamma(gamma+1) CPE >= D(gamma) e^{H(X)}, with
-    # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u);
-    # on a right-infinite support ln psi(x) + gamma ln(-ln u) + ln(1/lambda)
-    # at end logs, where ln psi = -x for e^{-x}, which only its tag names (no
-    # field declares it): its -E[X] = -inf makes the bound 0
+    # ln D + H = int_0^1 ln(psi(x) u (-ln u)^gamma / k(x)) du at x = Q(u),
+    # as ln psi(x) + gamma ln(-ln u) + ln(1/lambda), ln psi = -x for e^{-x}
+    # (only its tag says so): -E[X] = -inf makes the bound 0. H diverges
+    # at a zero density inside the support; one at an end has no mass
     exp_neg = psi.tag == "expneg" and psi.growth == -math.inf
-    if finite:
-        def f_b(u):
-            x = q(u)
-            return (math.log(p(x) * u) + gamma * math.log(-math.log(u))
-                    - math.log(pdf(x)))
-    else:
-        def f_b(node):
-            lu, lw, lwt = node
-            x, lx, l = model.quantile_logs(lu, lw)
-            log_p = (-x if exp_neg else psi.power * lx if psi.power
-                     else math.log(p(x)))
-            return math.exp(lwt) * (log_p + gamma * _log_neg_log(lu, lw) + l)
+
+    def f_b(node):
+        lu, lw, lwt = node
+        x, lx, l = model.quantile_logs(lu, lw)
+        if l == math.inf and lo < x < hi:
+            raise ZeroDivisionError(f"zero density at x={x!r}")
+        log_p = (-x if exp_neg else psi.power * lx if psi.power
+                 else math.log(p(x)))
+        return math.exp(lwt) * (log_p + gamma * _log_neg_log(lu, lw) + l)
 
     try:
         ln_dh = (-math.inf if exp_neg and not finite_mean else
-                 integrate(Integrand(f_b, 0.0, 1.0, not finite)).value)
+                 integrate(Integrand(f_b, 0.0, 1.0, True)).value)
         rhs_b = math.exp(ln_dh) / g1
         reports.append(_verdict("log_sum_entropy_lower_bound", cpe, rhs_b,
                                 upper=False))

@@ -85,11 +85,9 @@ class DistributionModel:
         return self.pdf(x) / k
 
     def expectation(self, g: Callable[[float], float]) -> float:
-        """E[g(X)] in u = K(x), at end logs on a right-infinite support."""
-        q, (lo, hi) = self.quantile, self.support
-        return integrate(_quantile_kernel(self, g, lo, (0.0,) * 5)
-                         if math.isinf(hi) else
-                         Integrand(lambda u: g(q(u)), 0.0, 1.0)).value
+        """E[g(X)] in u = K(x), at end logs on every support."""
+        return integrate(_quantile_kernel(self, g, self.support[0],
+                                          (0.0,) * 5)).value
 
     def mean(self) -> float:
         return self.expectation(lambda x: x)
@@ -123,8 +121,8 @@ def _quantile_kernel(model: DistributionModel,
                      h: Optional[Callable[[float], float]], lo: float,
                      powers: tuple, n: float = 0.0) -> Integrand:
     """The integral over ``x > lo`` of a kernel, in ``u = K(x)`` on (0, 1)
-    at end logs (see ``Integrand``): the one route for a right-infinite
-    support, which keeps ``(1 - u)^{-1+e}`` growth near a divergence bound.
+    at end logs (see ``Integrand``): the one route for an integral in
+    ``u``, which keeps ``(1 - u)^{-1+e}`` growth near a divergence bound.
 
     With ``powers = (c, r, a, b, m)`` the integrand is ``h(x) x^n (-ln
     u)^c (-ln(1 - u))^r u^a (1 - u)^b e^{m l}`` at ``x = Q(u)``, ``l =
@@ -304,83 +302,65 @@ def make_frechet(b: float, c: float) -> DistributionModel:
     )
 
 
-def make_weibull_square(theta: float) -> DistributionModel:
-    """Weibull with shape 2: ``K(x) = 1 - exp(-theta x^2)`` on ``(0, inf)``."""
-    require_positive(theta=theta)
+def _weibull(theta: float, k: float, family: str,
+             params: dict) -> DistributionModel:
+    """Weibull ``K(x) = 1 - exp(-theta x^k)`` on ``(0, inf)``, ``k`` 1 or 2;
+    ``params`` holds ``theta`` under the caller's name. ``theta x^k`` is
+    ``theta x x^{k-1}``, and the root at ``k = 2`` is ``sqrt``, not ``**``.
+    """
+    require_positive(**params)
+    j = k - 1.0
+    root, np_root = (math.sqrt, np.sqrt) if k == 2 else (float, np.asarray)
 
     def cdf(x):
         try:
-            return -math.expm1(-theta * x * x) if x > 0 else 0.0
+            return -math.expm1(-theta * x * x ** j) if x > 0 else 0.0
         except (TypeError, ValueError):  # an ndarray
-            return np.where(x > 0, -np.expm1(-theta * x * x), 0.0)
+            return np.where(x > 0, -np.expm1(-theta * x * x ** j), 0.0)
 
     def quantile(u):
         try:
-            return math.sqrt(-math.log1p(-u) / theta)
+            return root(-math.log1p(-u) / theta)
         except TypeError:  # an ndarray
-            return np.sqrt(-np.log1p(-u) / theta)
+            return np_root(-np.log1p(-u) / theta)
         except ValueError:  # no log at u >= 1, the support's end
             if u < 1.0:
                 raise
             return math.inf
 
-    log_theta, log_4theta = math.log(theta), math.log(4.0 * theta)
+    log_theta, log_kk_theta = math.log(theta), math.log(k ** k * theta)
 
     def quantile_logs(lu, lw):
-        # lambda = 2 theta x (1 - u) / u, theta x^2 = t = -ln(1 - u); where
-        # u underflows, ln t = ln u to within u
+        # lambda = k theta x^{k-1} (1 - u) / u, theta x^k = t = -ln(1 - u);
+        # where u underflows, ln t = ln u to within u
         t = -lw
         lt = math.log(t) if t > 0.0 else lu
-        return (math.sqrt(t / theta), 0.5 * (lt - log_theta),
-                lu - lw - 0.5 * (log_4theta + lt))
+        return (root(t / theta), (lt - log_theta) / k,
+                lu - lw - (log_kk_theta + j * lt) / k)
 
     return DistributionModel(
         cdf=cdf,
-        pdf=lambda x: 2.0 * theta * x * math.exp(-theta * x * x)
+        pdf=lambda x: k * theta * x ** j * math.exp(-theta * x * x ** j)
         if x > 0 else 0.0,
         quantile=quantile,
         support=(0.0, math.inf),
-        family="weibull_square", params={"theta": theta},
-        log_cdf=lambda x: _log1m_exp(theta * x * x) if x > 0 else -math.inf,
-        log_survival=lambda x: -theta * x * x if x > 0 else 0.0,
+        family=family, params=params,
+        log_cdf=lambda x: (_log1m_exp(theta * x * x ** j) if x > 0
+                           else -math.inf),
+        log_survival=lambda x: -theta * x * x ** j if x > 0 else 0.0,
         tail_index=math.inf,
         quantile_logs=quantile_logs,
     )
 
 
+def make_weibull_square(theta: float) -> DistributionModel:
+    """Weibull with shape 2: ``K(x) = 1 - exp(-theta x^2)`` on ``(0, inf)``."""
+    return _weibull(theta, 2.0, "weibull_square", {"theta": theta})
+
+
 def make_exponential(rate: float) -> DistributionModel:
     """Exponential distribution ``K(x) = 1 - exp(-rate x)`` (DFR boundary)."""
-    require_positive(rate=rate)
-
-    def cdf(x):
-        try:
-            return -math.expm1(-rate * x) if x > 0 else 0.0
-        except (TypeError, ValueError):  # an ndarray
-            return np.where(x > 0, -np.expm1(-rate * x), 0.0)
-
-    def quantile(u):
-        try:
-            return -math.log1p(-u) / rate
-        except TypeError:  # an ndarray
-            return -np.log1p(-u) / rate
-        except ValueError:  # no log at u >= 1, the support's end
-            return math.inf
-
-    log_rate = math.log(rate)  # lambda(x) = rate (1 - u) / u
-
-    return DistributionModel(
-        cdf=cdf,
-        pdf=lambda x: rate * math.exp(-rate * x) if x > 0 else 0.0,
-        quantile=quantile,
-        support=(0.0, math.inf),
-        family="exponential", params={"rate": rate},
-        log_cdf=lambda x: _log1m_exp(rate * x) if x > 0 else -math.inf,
-        log_survival=lambda x: -rate * x if x > 0 else 0.0,
-        tail_index=math.inf,
-        quantile_logs=lambda lu, lw: (  # ln(-lw) as in make_weibull_square
-            -lw / rate, (math.log(-lw) if lw < 0.0 else lu) - log_rate,
-            lu - lw - log_rate),
-    )
+    return _weibull(rate, 1.0, "exponential", {"rate": rate})
 
 
 def make_custom(cdf, pdf, quantile, support, family="custom",

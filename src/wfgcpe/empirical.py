@@ -182,10 +182,13 @@ def _exact_moments(population, weight: WeightFunction, n: int,
     """Exact, covariance-corrected moments of the estimator where the
     population and weight admit them, and their source; else
     ``(None, "monte_carlo")``."""
-    # by tag, not ``antiderivative is cdf``, which bench/tracing.py breaks
+    # by tag and by Psi = K at the quartiles, which proxies do not break
     if weight.tag == "self_density":
-        return (exact_moments_self_weight(n, gamma, spacing_covariance=True),
-                "exact_self_weight")
+        x = _elementwise(population.quantile, np.array([0.25, 0.5, 0.75]))
+        if np.array_equal(_elementwise(weight.antiderivative, x),
+                          _elementwise(population.cdf, x)):
+            return exact_moments_self_weight(
+                n, gamma, spacing_covariance=True), "exact_self_weight"
     if weight.power == 1.0 and population.family == "weibull_square":
         theta = population.params["theta"]
         return exact_moments_weibull(n, gamma, theta), "exact_weibull"

@@ -6,11 +6,11 @@ singularity of ``u (-ln u)^gamma`` wherever the CDF approaches 0 or 1.
 On (0, 1) it can pass each node as the logs of ``u``, ``1 - u`` and its
 weight (see ``Integrand``), out to e^-34,599 of either end, where the
 decay absorbs any ``(1 - u)^{-1+e}`` growth (Mori & Sugihara, J. Comput.
-Appl. Math. 127, 2001): every right-infinite kernel and the PRH terms
-run so, in ``u = K(x)``. QUADPACK (``scipy.integrate.quad``) takes a
-finite interval where the rule does not settle or a node raises, and a
-bare right-infinite ``Integrand``, which its QAGI maps onto (0, 1). One
-guard per node maps a non-finite value (endpoint underflow) to its
+Appl. Math. 127, 2001): every integral in ``u = K(x)`` runs so, and the
+plain rule runs only integrals in x. QUADPACK (``scipy.integrate.quad``)
+takes a finite interval where the rule does not settle or a node raises,
+and a bare right-infinite ``Integrand``, which its QAGI maps onto (0, 1).
+One guard per node maps a non-finite value (endpoint underflow) to its
 continuous-limit value 0; under ``full_output`` scipy does not warn.
 """
 
@@ -125,12 +125,12 @@ def _tanh_sinh(ev, a: float, b: float, abs_tol: float, rel_tol: float,
 
 @dataclass(frozen=True)
 class Integrand:
-    """A scalar function on an open interval.
+    """A scalar function on an open interval, in x, or with ``logs`` in u.
 
     ``eval`` must be finite on the open interior; the endpoints themselves
-    are never evaluated. ``hi`` may be ``inf``. With ``logs``, on (0, 1)
-    only, ``eval((ln u, ln(1 - u), ln w))`` returns ``w f(u)``, ``w`` inside
-    the one ``exp`` that forms it, as nodes reach e^-34,599 of either end.
+    are never evaluated. ``hi`` may be ``inf``. With ``logs``, in ``u =
+    K(x)`` on (0, 1), ``eval((ln u, ln(1 - u), ln w))`` returns ``w f(u)``,
+    ``w`` inside the one ``exp`` that forms it, to e^-34,599 of either end.
     A log sum past the largest float raises ``OverflowError``, a divergent
     tail: the rule ends, and QUADPACK runs in u at ``ln w = 0``."""
 

@@ -422,18 +422,20 @@ def test_bound_suite_sample():
 
 def test_bound_suite_log_sum_reports_divergence_not_bugs():
     base = make_power(1.0, 2.0)
-    # a zero density makes H(X) diverge: the bound is vacuous, not an error
-    zero = dataclasses.replace(base, pdf=lambda x: 0.0)
+    # a zero density makes H(X) diverge: the bound is vacuous, not an error;
+    # quantile_logs=None derives the logs from the injected pdf
+    zero = dataclasses.replace(base, pdf=lambda x: 0.0, quantile_logs=None)
     rep = {r.name: r for r in bound_suite(zero, weight_x(), 1.0)}
     rep = rep["log_sum_entropy_lower_bound"]
     assert rep.holds and math.isnan(rep.rhs)
-    assert rep.note.startswith("inapplicable: math domain error")
+    assert rep.note.startswith("inapplicable: zero density")
 
     def broken(x):
         raise TypeError("density bug")
 
     with pytest.raises(TypeError, match="density bug"):
-        bound_suite(dataclasses.replace(base, pdf=broken), weight_x(), 1.0)
+        bound_suite(dataclasses.replace(base, pdf=broken, quantile_logs=None),
+                    weight_x(), 1.0)
 
 
 @pytest.mark.parametrize("model", [
@@ -494,6 +496,45 @@ def test_jensen_power_bound_gamma_one_equality():
                                               xi=weight_x())}
     rep = reports["jensen_power_lower_bound"]
     assert rep.holds and abs(rep.lhs - rep.rhs) < 1e-9
+
+
+def test_jensen_power_bound_of_a_weight_without_a_power():
+    # xi^gamma built pointwise matches the x^gamma power weight
+    m = make_power(1.0, 2.0)
+    xi = custom_weight(lambda x: x, lambda x: 0.5 * x * x)
+    got, want = ({r.name: r for r in bound_suite(m, weight_x(), 0.5, xi=w)
+                  }["jensen_power_upper_bound"] for w in (xi, weight_x()))
+    assert abs(got.lhs - want.lhs) <= 1e-12 * want.lhs
+    assert abs(got.rhs - want.rhs) <= 1e-12 * want.rhs
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0])
+@pytest.mark.parametrize("psi, mean_log_psi", [
+    (weight_one(), lambda a: 0.0),
+    (weight_x(), lambda a: (a + 1.0) * math.log(a + 1.0) - a * math.log(a)
+     - 1.0),
+    (weight_exp_neg(), lambda a: -(a + 0.5)),
+], ids=("one", "x", "expneg"))
+@pytest.mark.parametrize("g", [0.5, 2.75])
+def test_log_sum_bound_on_a_shifted_uniform(monkeypatch, a, psi,
+                                            mean_log_psi, g):
+    # k = 1 on (a, a + 1): ln D + H = int_0^1 ln psi(a + u) du - 1 - g C,
+    # on end-log nodes even where Q(u) rounds onto a + 1, where k is 0
+    rules = []
+    real = analysis.integrate
+
+    def recorded(f, *args, **kwargs):
+        out = real(f, *args, **kwargs)
+        rules.append(out.rule)
+        return out
+
+    monkeypatch.setattr(analysis, "integrate", recorded)
+    rhs = {r.name: r.rhs for r in bound_suite(make_uniform_shifted(a), psi, g)
+           }["log_sum_entropy_lower_bound"]
+    assert rules == ["tanh_sinh"]
+    want = math.exp(mean_log_psi(a) - 1.0 - g * np.euler_gamma) / math.gamma(
+        g + 1.0)
+    assert abs(rhs - want) <= 1e-14 * want
 
 
 def test_sum_bound_two_uniforms():
@@ -967,6 +1008,21 @@ def test_clt_self_weight_source():
     rep = clt_diagnostic(_config(population=u, weight=self_density_weight(u),
                                  replicates=400, n=250))
     assert rep.moment_source == "exact_self_weight"
+    assert rep.passes
+
+
+@pytest.mark.parametrize("owner, source", [
+    (make_uniform_shifted(0.0), "monte_carlo"),
+    (make_exponential(1.0), "monte_carlo"),
+    # another instance of the population's own family and parameter
+    (make_weibull_square(1.0), "exact_self_weight"),
+], ids=("uniform", "exponential", "weibull"))
+def test_self_density_moments_need_the_population_cdf(owner, source):
+    # another model's density has no Beta(1, n) spacings under this one
+    rep = clt_diagnostic(SimulationConfig(2000, 200, 1,
+                                          make_weibull_square(1.0),
+                                          self_density_weight(owner), 0.5))
+    assert rep.moment_source == source
     assert rep.passes
 
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
-from wfgcpe.distributions import make_frechet, make_power, make_uniform_shifted
+from wfgcpe.distributions import (make_exponential, make_frechet, make_power,
+                                  make_uniform_shifted, make_weibull_square)
 from wfgcpe.errors import (DegenerateNormalizer, DomainError,
                            MonotonicityError, UnboundedSupport)
 from wfgcpe.measures import (affine_wfgcpe, discrete_wfe, dynamic_wfgcpe,
@@ -186,6 +189,23 @@ def test_affine_decomposition_law():
         direct = affine_wfgcpe(p, weight_x(), 0.5, a, b)
         decomposed = a * a * cpe_x + a * b * cpe_1
         assert abs(direct - decomposed) <= 1e-7
+
+
+AFFINE_FAMILIES = (make_power(1.0, 2.0), make_uniform_shifted(0.5),
+                   make_frechet(1.0, 4.0), make_weibull_square(1.0),
+                   make_exponential(1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(AFFINE_FAMILIES), st.floats(0.6, 3.0),
+       st.floats(0.1, 5.0), st.floats(0.0, 3.0))
+def test_affine_decomposition_law_on_every_family(model, g, a, b):
+    # Frechet's tail index 4 keeps psi = x finite above gamma = 1/2
+    cpe_x = wfgcpe(model, weight_x(), g).value
+    cpe_1 = wfgcpe(model, weight_one(), g).value
+    want = a * a * cpe_x + a * b * cpe_1
+    got = affine_wfgcpe(model, weight_x(), g, a, b)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_rl_fractional_integral():

@@ -7,7 +7,9 @@ import math
 
 import pytest
 
-from wfgcpe.analysis import (SimulationConfig, check_order, prh_bound_check,
+from wfgcpe.analysis import (SimulationConfig, check_order,
+                             convolution_cdf_grid, hr_dfr_implies_wfgcpe_order,
+                             mean_value_identity, prh_bound_check,
                              simulate_estimator)
 from wfgcpe.distributions import (PrhParameter, make_exponential,
                                   make_frechet, make_power,
@@ -17,7 +19,7 @@ from wfgcpe.distributions import (PrhParameter, make_exponential,
                                   prh_wfgcpe)
 from wfgcpe.empirical import (as_sample, empirical_cdf,
                               exact_moments_self_weight)
-from wfgcpe.errors import DomainError
+from wfgcpe.errors import DomainError, PreconditionUnmet
 from wfgcpe.measures import affine_wfgcpe, discrete_wfe, rl_fractional_integral
 from wfgcpe.weights import power_weight, weight_x
 
@@ -92,4 +94,23 @@ def _case_id(fn, args):
     pytest.param(fn, args, id=_case_id(fn, args)) for fn, args in _refusals()])
 def test_out_of_domain_parameter_is_refused(fn, args):
     with pytest.raises(DomainError):
+        fn(*args)
+
+
+_UNMET = [
+    (hr_dfr_implies_wfgcpe_order, (make_uniform_shifted(0.0),
+                                   make_uniform_shifted(0.5), PSI, 0.5),
+     PreconditionUnmet, "neither model is DFR"),
+    (mean_value_identity, (make_exponential(0.5), make_exponential(2.0),
+                           PSI, 0.5),
+     PreconditionUnmet, "usual stochastic order"),
+    (convolution_cdf_grid, (make_exponential(1.0), BASE),
+     DomainError, "finite supports"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, match", [
+    pytest.param(*case, id=case[0].__name__) for case in _UNMET])
+def test_unmet_hypothesis_is_refused(fn, args, error, match):
+    with pytest.raises(error, match=match):
         fn(*args)
