@@ -29,7 +29,7 @@ from scipy.special import gamma as _gamma, ndtr
 from .distributions import (DistributionModel, _log_neg_log,
                             _refuse_divergent_tail, make_power, prh_transform)
 from .empirical import (_check_moment_args, _estimator_coefficients,
-                        _exact_moments)
+                        _exact_moments, _psi_is_own_cdf)
 from .errors import (ConstraintError, DomainError, PreconditionUnmet,
                      WfgcpeError, require_positive)
 from .measures import _log_kernel_integral, tau, weighted_cpe, wfgcpe
@@ -234,14 +234,14 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
     hi = max(m.support[1] for m in (m1, m2))
 
     # E[tau1(X2)] collapses by Fubini to a single integral against K2.
-    lc, p, k1, k2 = m1.log_cdf, psi.psi, m1.cdf, m2.cdf
-    e_tau_x2 = _log_kernel_integral(lc, lambda x: p(x) * k2(x), gamma, lo,
-                                    hi, "tau", m1)[0]
+    lc, lc2, p, exp = m1.log_cdf, m2.log_cdf, psi.psi, math.exp
+    e_tau_x2 = _log_kernel_integral(lc, lambda x: p(x) * exp(lc2(x)), gamma,
+                                    lo, hi, "tau", m1)[0]
 
     # E[tau1'(V)] with k_V = (K1 - K2) / (E X2 - E X1); tau1' <= 0.
     e_tau_prime_v = -_log_kernel_integral(
-        lc, lambda x: p(x) * (k1(x) - k2(x)), gamma, lo, hi, "tau",
-        m1)[0] / (mu2 - mu1)
+        lc, lambda x: p(x) * (exp(lc(x)) - exp(lc2(x))), gamma, lo, hi,
+        "tau", m1)[0] / (mu2 - mu1)
 
     rhs = e_tau_x2 + e_tau_prime_v * (mu1 - mu2)
     identity = CheckReport("mean_value_identity", lhs, rhs,
@@ -463,11 +463,15 @@ class SimulationConfig:
     gamma: float
 
     def __post_init__(self):
+        for name in ("replicates", "n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise DomainError(f"require an integer {name}, got {value!r}")
         if self.replicates < 1:
             raise DomainError("require replicates >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DomainError(
-                f"require a nonnegative integer seed, got {self.seed!r}")
+        if self.seed < 0:
+            raise DomainError(f"require a nonnegative seed, got {self.seed!r}")
         _check_moment_args(self.n, self.gamma)
 
 
@@ -498,15 +502,16 @@ def _draw_uniforms(seed: int, replicates: int, n: int,
 
 
 def _spacings_from_uniforms(u: np.ndarray, population: DistributionModel,
-                            weight: WeightFunction) -> np.ndarray:
+                            weight: WeightFunction,
+                            own_cdf: bool) -> np.ndarray:
     """Spacings ``Z`` of the antiderivative-transformed order statistics,
     one row per replicate. Independent of the fractional order.
 
-    Where ``Psi`` is the population's own CDF, ``Psi(Q(u)) = u``: the
-    spacings are those of the sorted uniforms. The test is identity, not
-    the tag, so a self-density weight of another model takes the general
-    path."""
-    if weight.antiderivative is population.cdf:
+    Where ``Psi`` is the population's own CDF (``own_cdf``, from
+    ``_psi_is_own_cdf``), ``Psi(Q(u)) = u``: the spacings are those of
+    the sorted uniforms. A self-density weight of another model takes the
+    general path."""
+    if own_cdf:
         return np.diff(np.sort(u, axis=1), axis=1)
     x = np.sort(_elementwise(population.quantile, u), axis=1)
     return np.diff(_elementwise(weight.big_psi, x), axis=1)
@@ -514,14 +519,13 @@ def _spacings_from_uniforms(u: np.ndarray, population: DistributionModel,
 
 def _array_native(population: DistributionModel,
                   weight: WeightFunction) -> bool:
-    """Whether the chunks may run on threads: on the self-density path,
-    which only sorts and diffs, or where the model's quantile and the
-    weight's ``Psi`` take arrays, probed on one row of two points.
-    Callables written for floats (the quadrature fallback of ``Psi``
-    among them) are mapped holding the interpreter lock, so threads gain
-    nothing on them, and ``quad`` is not documented as thread-safe."""
-    if weight.antiderivative is population.cdf:
-        return True
+    """Whether the chunks of the general path may run on threads: where
+    the model's quantile and the weight's ``Psi`` take arrays, probed on
+    one row of two points. Callables written for floats (the quadrature
+    fallback of ``Psi`` among them) are mapped holding the interpreter
+    lock, so threads gain nothing on them, and ``quad`` is not documented
+    as thread-safe. The self-density path only sorts and diffs, and runs
+    on threads whatever the callables."""
     x = _array_call(population.quantile, np.array([[0.25, 0.75]]))
     return x is not None and _array_call(weight.big_psi, x) is not None
 
@@ -546,6 +550,7 @@ def simulate_estimator(config: SimulationConfig,
         for g in gammas_eff:
             require_positive(gamma=g)
     n, reps = config.n, config.replicates
+    own_cdf = _psi_is_own_cdf(config.population, config.weight)
     coeffs = {g: _estimator_coefficients(n, g) for g in gammas_eff}
     sums = {g: np.empty(reps) for g in gammas_eff}
     rows = max(1, _CHUNK_ELEMENTS // n)
@@ -561,7 +566,7 @@ def simulate_estimator(config: SimulationConfig,
                 k = min(rows, reps - start)
                 u = _draw_uniforms(config.seed, k, n, start)
                 z = _spacings_from_uniforms(u, config.population,
-                                            config.weight)
+                                            config.weight, own_cdf)
                 for g, coeff in coeffs.items():
                     sums[g][start:start + k] = z @ coeff
         except BaseException:
@@ -570,7 +575,8 @@ def simulate_estimator(config: SimulationConfig,
             raise
 
     workers = min(-(-reps // rows), _WORKERS)
-    if workers > 1 and _array_native(config.population, config.weight):
+    if workers > 1 and (own_cdf or _array_native(config.population,
+                                                  config.weight)):
         with ThreadPoolExecutor(workers - 1) as pool:
             helpers = [pool.submit(run_chunks) for _ in range(workers - 1)]
             run_chunks()

@@ -29,12 +29,10 @@ _NEAR_ONE = 2.0 ** -53  # -ln u where u rounds to 1: ln(-ln u) = ln(1 - u)
 class DistributionModel:
     """CDF/PDF/quantile bundle on support ``(lo, hi)`` with ``hi <= inf``.
 
-    The builtin families' ``cdf`` and ``quantile`` take a float or an
-    ndarray (elementwise). They try the ``math`` path first, which the
-    quadrature calls millions of times; an ndarray makes it raise
-    ``TypeError`` (or ``ValueError`` from a scalar comparison) and takes
-    the numpy path, so floats pay nothing for the dispatch. User
-    callables may take floats only.
+    The builtin families' ``cdf`` and ``quantile`` are one numpy body
+    each: an ndarray maps elementwise, and a float gives a numpy scalar
+    with the same bits as an array element. The library's scalar paths
+    read ``log_cdf``, not ``cdf``. User callables may take floats only.
 
     Every model carries ``log_cdf`` and ``log_survival`` (``ln K`` and
     ``ln(1 - K)``): as declared by the family, or else derived from this
@@ -74,11 +72,8 @@ class DistributionModel:
             object.__setattr__(self, "quantile_logs", partial(
                 _quantile_logs_of, self.quantile, self.pdf, self.support[1]))
 
-    def survival(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
-
     def reversed_hazard(self, x: float) -> float:
-        k = self.cdf(x)
+        k = math.exp(self.log_cdf(x))
         if k <= 0.0:
             raise DomainError(
                 f"reversed hazard undefined where K(x)=0 (x={x})")
@@ -158,6 +153,12 @@ def _quantile_kernel(model: DistributionModel,
     return Integrand(f, 0.0, 1.0, True)
 
 
+def _pow(a, p):
+    """``a ** p`` by ndarray rules for a float too: a scalar's ``**`` is
+    libm's ``pow``, and ``np.power`` skips the ndarray's ``sqrt``/``square``."""
+    return np.asarray(a, float) ** p
+
+
 def _log1m_exp(t: float) -> float:
     """``ln(1 - e^{-t})``: ``expm1`` below ``ln 2``, where ``1 - e^{-t}``
     cancels, and ``log1p`` above, where ``1 - e^{-t}`` rounds to 1."""
@@ -193,18 +194,12 @@ def make_power(b: float, c: float) -> DistributionModel:
         return (b ** (p + 1.0) / c
                 * math.exp(-(g + 1.0) * math.log1p((p + 1.0) / c)))
 
-    def cdf(x):
-        try:
-            return min(max(x / b, 0.0), 1.0) ** c
-        except ValueError:  # an ndarray
-            return np.clip(x / b, 0.0, 1.0) ** c
-
     log_b, log_b_c = math.log(b), math.log(b / c)  # lambda(x) = c / x
 
     return DistributionModel(
-        cdf=cdf,
+        cdf=lambda x: _pow(np.clip(np.asarray(x, float) / b, 0.0, 1.0), c),
         pdf=lambda x: c * x ** (c - 1.0) / b ** c if 0.0 < x < b else 0.0,
-        quantile=lambda u: b * u ** (1.0 / c),
+        quantile=lambda u: b * _pow(u, 1.0 / c),
         support=(0.0, b),
         family="power", params={"b": b, "c": c},
         closed_wfgcpe=closed,
@@ -230,21 +225,17 @@ def make_uniform_shifted(a: float) -> DistributionModel:
         return sum(math.comb(n, k) * a ** (n - k) * (k + 2.0) ** -(g + 1.0)
                    for k in range(n, -1, -1))
 
-    def cdf(x):
-        try:
-            return min(max(x - a, 0.0), 1.0)
-        except ValueError:  # an ndarray
-            return np.clip(x - a, 0.0, 1.0)
-
     return DistributionModel(
-        cdf=cdf,
+        cdf=lambda x: np.clip(np.asarray(x, float) - a, 0.0, 1.0),
         pdf=lambda x: 1.0 if a < x < a + 1.0 else 0.0,
-        quantile=lambda u: a + u,
+        quantile=lambda u: a + np.asarray(u, float),
         support=(a, a + 1.0),
         family="uniform_shifted", params={"a": a},
         closed_wfgcpe=closed,
         log_cdf=lambda x: (math.log(x - a) if a < x < a + 1.0
                            else (0.0 if x >= a + 1.0 else -math.inf)),
+        log_survival=lambda x: (math.log1p(a - x) if a < x < a + 1.0
+                                else (-math.inf if x >= a + 1.0 else 0.0)),
         quantile_logs=lambda lu, lw: (  # lambda = 1/u
             a + math.exp(lu), math.log(a + math.exp(lu)) if a else lu, lu),
     )
@@ -266,19 +257,15 @@ def make_frechet(b: float, c: float) -> DistributionModel:
         return b ** (m / c) * _gamma(g - m / c) / (c * _gamma(g + 1.0))
 
     def cdf(x):
-        try:
-            return math.exp(-b * x ** -c) if x > 0 else 0.0
-        except (TypeError, ValueError):  # an ndarray
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(x > 0, np.exp(-b * x ** -c), 0.0)
+        x = np.asarray(x, float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(x > 0, np.exp(-b * x ** -c), 0.0)[()]
 
-    def quantile(u):
-        try:
-            if u >= 1.0:  # the support's ends: inf here, 0 at u <= 0
-                return math.inf
-            return 0.0 if u <= 0.0 else (b / -math.log(u)) ** (1.0 / c)
-        except (TypeError, ValueError):  # an ndarray
-            return (b / -np.log(u)) ** (1.0 / c)
+    def quantile(u):  # inf at u = 1, where b / -ln u is b / -0.0 = -inf
+        u = np.asarray(u, float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(u < 1.0, _pow(b / -np.log(u), 1.0 / c),
+                            np.inf)[()]
 
     log_b, log_bc = math.log(b), math.log(b * c)
 
@@ -310,23 +297,16 @@ def _weibull(theta: float, k: float, family: str,
     """
     require_positive(**params)
     j = k - 1.0
-    root, np_root = (math.sqrt, np.sqrt) if k == 2 else (float, np.asarray)
+    root = math.sqrt if k == 2 else float
 
     def cdf(x):
-        try:
-            return -math.expm1(-theta * x * x ** j) if x > 0 else 0.0
-        except (TypeError, ValueError):  # an ndarray
-            return np.where(x > 0, -np.expm1(-theta * x * x ** j), 0.0)
+        x = np.asarray(x, float)
+        return np.where(x > 0, -np.expm1(-theta * x * x ** j), 0.0)[()]
 
-    def quantile(u):
-        try:
-            return root(-math.log1p(-u) / theta)
-        except TypeError:  # an ndarray
-            return np_root(-np.log1p(-u) / theta)
-        except ValueError:  # no log at u >= 1, the support's end
-            if u < 1.0:
-                raise
-            return math.inf
+    def quantile(u):  # inf at u = 1, where log1p(-1) = -inf
+        with np.errstate(divide="ignore"):
+            t = -np.log1p(-np.asarray(u, float)) / theta
+        return np.sqrt(t) if k == 2 else t
 
     log_theta, log_kk_theta = math.log(theta), math.log(k ** k * theta)
 
@@ -436,21 +416,20 @@ def prh_transform(base: DistributionModel, eta) -> DistributionModel:
                               else lw - log_e)
         return x, lx, l1 - log_e
 
-    def cdf(x):
-        return base.cdf(x) ** e
+    lc = base.log_cdf
 
     def pdf(x):
-        k1 = base.cdf(x)
-        if k1 <= 0.0:
-            return 0.0
-        return e * k1 ** (e - 1.0) * base.pdf(x)
+        k1 = math.exp(lc(x))
+        return e * k1 ** (e - 1.0) * base.pdf(x) if k1 > 0.0 else 0.0
 
     return DistributionModel(
-        cdf=cdf, pdf=pdf,
-        quantile=lambda u: base.quantile(u ** (1.0 / e)),
+        cdf=lambda x: _pow(base.cdf(x), e), pdf=pdf,
+        quantile=lambda u: base.quantile(_pow(u, 1.0 / e)),
         support=base.support,
         family="prh", params={"eta": e, "base": base.family, **base.params},
-        log_cdf=lambda x, lc=base.log_cdf: e * lc(x),
+        log_cdf=lambda x: e * lc(x),
+        # from ln K1, exact also where K1^eta rounds to 1
+        log_survival=lambda x: _log1m_exp(-e * lc(x)),
         tail_index=base.tail_index,  # -ln K1^eta = eta (-ln K1)
         quantile_logs=quantile_logs,
     )
@@ -534,6 +513,8 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
     """
     if not (n >= 1 and float(n).is_integer()):
         raise DomainError(f"require integer n >= 1, got {n}")
+    if not math.isfinite(prior):
+        raise DomainError(f"require a finite prior, got {prior}")
     e = _as_eta(eta)
     _refuse_divergent_tail(base, psi, gamma)
     term = partial(_prh_term, base, e, psi)
@@ -550,8 +531,9 @@ def mean_inactivity_time(model: DistributionModel, t: float) -> float:
     lo, hi = model.support
     if not lo < t <= hi:
         raise DomainError(f"t={t} outside support ({lo}, {hi})")
-    kt = model.cdf(t)
+    kt = math.exp(model.log_cdf(t))
     if kt <= 0.0:
         raise DomainError(f"K(t)=0 at t={t}")
-    num = integrate(Integrand(model.cdf, lo, t)).value
+    num = integrate(Integrand(lambda x: math.exp(model.log_cdf(x)), lo,
+                              t)).value
     return num / kt

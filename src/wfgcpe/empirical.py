@@ -177,18 +177,29 @@ def _check_moment_args(n, gamma):
     require_positive(gamma=gamma)
 
 
+def _psi_is_own_cdf(population, weight: WeightFunction) -> bool:
+    """Whether ``Psi`` is the population's own CDF: by identity, else by
+    the ``"self_density"`` tag and ``Psi = K`` bit for bit at the
+    quartiles, which also holds for an equal model built apart and where
+    wrappers of the callables (as in the benchmark's tracing) break the
+    identity."""
+    if weight.antiderivative is population.cdf:
+        return True
+    if weight.tag != "self_density":
+        return False
+    x = _elementwise(population.quantile, np.array([0.25, 0.5, 0.75]))
+    return np.array_equal(_elementwise(weight.antiderivative, x),
+                          _elementwise(population.cdf, x))
+
+
 def _exact_moments(population, weight: WeightFunction, n: int,
                    gamma: float) -> tuple[tuple[float, float] | None, str]:
     """Exact, covariance-corrected moments of the estimator where the
     population and weight admit them, and their source; else
     ``(None, "monte_carlo")``."""
-    # by tag and by Psi = K at the quartiles, which proxies do not break
-    if weight.tag == "self_density":
-        x = _elementwise(population.quantile, np.array([0.25, 0.5, 0.75]))
-        if np.array_equal(_elementwise(weight.antiderivative, x),
-                          _elementwise(population.cdf, x)):
-            return exact_moments_self_weight(
-                n, gamma, spacing_covariance=True), "exact_self_weight"
+    if _psi_is_own_cdf(population, weight):
+        return (exact_moments_self_weight(n, gamma, spacing_covariance=True),
+                "exact_self_weight")
     if weight.power == 1.0 and population.family == "weibull_square":
         theta = population.params["theta"]
         return exact_moments_weibull(n, gamma, theta), "exact_weibull"

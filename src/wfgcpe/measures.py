@@ -196,6 +196,8 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
     The expectation of this decreasing function recovers the entropy.
     """
     require_positive(gamma=gamma)
+    if math.isnan(u):
+        raise DomainError("tau undefined at u = nan")
     lo, hi = model.support
     if u >= hi:
         return 0.0
@@ -279,17 +281,17 @@ def wfgcpe_via_fractional_bridge(model: DistributionModel,
     if math.isinf(hi):
         raise UnboundedSupport("bridge check requires finite support")
 
+    h = model.log_cdf
+
     def f(x):
-        k = model.cdf(x)
+        k = math.exp(h(x))
         d = model.pdf(x)
         if k <= 0.0 or d <= 0.0:
             return 0.0
         return psi(x) * k * k / d
 
-    h = model.log_cdf
-
     def h_prime(x):
-        k = model.cdf(x)
+        k = math.exp(h(x))
         return model.pdf(x) / k if k > 0.0 else 0.0
 
     return rl_fractional_integral(f, h, gamma + 1.0, lo, hi,

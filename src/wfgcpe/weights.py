@@ -4,7 +4,7 @@ The entropy functionals are "length-biased" through a weight ``psi``; the
 empirical estimator additionally needs its antiderivative ``Psi`` and the
 proportional-reversed-hazard decomposition needs the derivative
 ``psi'``. Builtins carry all three in closed form, and their ``Psi``
-takes a float or an ndarray; custom weights fall back to numerical
+maps an ndarray elementwise; custom weights fall back to numerical
 differentiation / cumulative quadrature.
 """
 
@@ -113,13 +113,8 @@ def weight_sqrt_x() -> WeightFunction:
 
 
 def weight_exp_neg() -> WeightFunction:
-    def big(x):
-        try:
-            return -math.expm1(-x)
-        except TypeError:  # an ndarray; see DistributionModel
-            return -np.expm1(-x)
-
-    return WeightFunction(lambda x: math.exp(-x), big,
+    return WeightFunction(lambda x: math.exp(-x),
+                          lambda x: -np.expm1(-np.asarray(x, float)),
                           lambda x: -math.exp(-x),
                           DECREASING, "expneg", -math.inf)
 

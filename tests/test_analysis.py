@@ -25,7 +25,8 @@ from wfgcpe.distributions import (make_custom, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
                                   prh_transform)
-from wfgcpe.empirical import _estimator_coefficients, _exact_moments
+from wfgcpe.empirical import (_estimator_coefficients, _exact_moments,
+                              _psi_is_own_cdf)
 from wfgcpe.errors import (ConstraintError, DomainError, PreconditionUnmet,
                            WfgcpeError)
 from wfgcpe.measures import wfgcpe
@@ -825,7 +826,8 @@ def test_self_density_chunks_run_on_threads(monkeypatch, pools):
     # the self-density path only sorts and diffs uniforms, so a model
     # with float-only callables still runs its chunks on threads
     weight = self_density_weight(SQUARE_FLOAT_ONLY)
-    assert analysis._array_native(SQUARE_FLOAT_ONLY, weight)
+    assert _psi_is_own_cdf(SQUARE_FLOAT_ONLY, weight)
+    assert not analysis._array_native(SQUARE_FLOAT_ONLY, weight)
     config = _config(replicates=40, n=5, population=SQUARE_FLOAT_ONLY,
                      weight=weight)
     monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 10)  # 2 rows of n=5
@@ -901,17 +903,21 @@ def test_simulate_scalar_only_custom_model_and_weights():
         np.testing.assert_allclose(got.values, reference.values, rtol=rtol)
 
 
+def _general_path_twin(weight):
+    """The same ``Psi``, wrapped and under the tag ``"custom"``: neither
+    identity nor tag makes it the population's own CDF."""
+    k = weight.antiderivative
+    return custom_weight(weight.psi, lambda x: k(x))
+
+
 @pytest.mark.parametrize("population", [
     make_weibull_square(1.0), make_frechet(1.0, 4.0), make_power(2.0, 3.0)],
     ids=lambda m: m.family)
 def test_self_density_path_matches_general_path(population):
     weight = self_density_weight(population)
-    # a wrapped cdf is not the weight's antiderivative: the general path
-    wrapped = dataclasses.replace(population,
-                                  cdf=lambda x, k=population.cdf: k(x))
     fast, general = (simulate_estimator(_config(
-        population=m, weight=weight, n=50, replicates=300, gamma=1.5))
-        for m in (population, wrapped))
+        population=population, weight=w, n=50, replicates=300, gamma=1.5))
+        for w in (weight, _general_path_twin(weight)))
     np.testing.assert_allclose(fast.values, general.values, rtol=1e-14,
                                atol=0.0)
 
@@ -1024,6 +1030,32 @@ def test_self_density_moments_need_the_population_cdf(owner, source):
                                           self_density_weight(owner), 0.5))
     assert rep.moment_source == source
     assert rep.passes
+
+
+@pytest.mark.parametrize("owner, own", [
+    (make_weibull_square(1.0), True),  # built apart, equal to the population
+    (make_exponential(1.0), False),
+], ids=("weibull", "exponential"))
+def test_one_test_decides_psi_is_the_population_cdf(monkeypatch, owner,
+                                                    own):
+    population = make_weibull_square(1.0)
+    weight = self_density_weight(owner)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _psi_is_own_cdf(*args)
+
+    monkeypatch.setattr(analysis, "_psi_is_own_cdf", counted)
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 400)  # 10 chunks
+    got, fast, general = (simulate_estimator(_config(
+        population=population, weight=w, n=40, replicates=100)).values
+        for w in (weight, self_density_weight(population),
+                  _general_path_twin(weight)))
+    assert len(calls) == 3  # once per call, not per chunk
+    assert np.array_equal(got, fast if own else general)
+    source = _exact_moments(population, weight, 200, 0.5)[1]
+    assert (source == "exact_self_weight") is own
 
 
 def test_consistency_profile_shrinks():

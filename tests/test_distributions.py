@@ -3,6 +3,7 @@ decomposition."""
 
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,8 @@ from wfgcpe.distributions import (DistributionModel, PrhParameter,
 from wfgcpe.errors import ConstraintError, DomainError, ValidationError
 from wfgcpe.measures import wfgcpe
 from wfgcpe.weights import (piecewise_linear_weight, power_weight,
-                            weight_one, weight_x, weight_x_squared)
+                            weight_exp_neg, weight_one, weight_x,
+                            weight_x_squared)
 
 GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.75)
 
@@ -423,3 +425,39 @@ def test_replace_quantile_derives_the_quantile_logs_again():
     x, lx, l = cube.quantile_logs(math.log(0.125), math.log1p(-0.125))
     assert abs(x - 0.5) <= 1e-15 and abs(l - math.log(0.125 / 0.75)) <= 1e-15
     assert lx == math.log(x)
+
+
+BIT_MODELS = [make_power(2.0, 3.0), make_uniform_shifted(0.5),
+              make_frechet(1.0, 4.0), make_weibull_square(1.5),
+              make_exponential(2.0), prh_transform(make_frechet(1.0, 4.0), 1.7)]
+
+
+def _same_bits(fn, xs):
+    """``fn`` at each element as a float against ``fn`` on the array."""
+    floats = np.array([fn(float(x)) for x in xs])
+    np.testing.assert_array_equal(floats.view(np.int64),
+                                  fn(xs).view(np.int64))
+
+
+@pytest.mark.parametrize("model", BIT_MODELS, ids=lambda m: m.family)
+def test_floats_and_arrays_give_the_same_bits(model):
+    # one numpy body serves both: no libm path for floats beside numpy's
+    rng = np.random.default_rng(2025)
+    lo, hi = model.support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        us = rng.random(20_000)
+        _same_bits(model.quantile, us)
+        _same_bits(model.cdf, model.quantile(us))
+        assert model.cdf(lo - 1.0) == model.cdf(lo) == 0.0
+        assert model.cdf(hi) == 1.0
+        assert model.quantile(0.0) == lo and model.quantile(1.0) == hi
+        np.testing.assert_array_equal(model.cdf(np.array([lo - 1.0, lo, hi])),
+                                      [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(model.quantile(np.array([0.0, 1.0])),
+                                      [lo, hi])
+
+
+def test_exp_neg_antiderivative_gives_the_same_bits():
+    xs = np.random.default_rng(2026).exponential(2.0, 20_000)
+    _same_bits(weight_exp_neg().antiderivative, xs)

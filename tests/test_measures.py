@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
+from wfgcpe.analysis import prh_bound_check
 from wfgcpe.distributions import (make_exponential, make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square)
 from wfgcpe.errors import (DegenerateNormalizer, DomainError,
@@ -16,8 +17,8 @@ from wfgcpe.measures import (affine_wfgcpe, discrete_wfe, dynamic_wfgcpe,
                              normalized_wfgcpe, rl_fractional_integral, tau,
                              weighted_cpe, wfgcpe, wfgcpe_gamma_zero_limit,
                              wfgcpe_via_fractional_bridge, wfgcre)
-from wfgcpe.weights import (weight_exp_neg, weight_one, weight_sqrt_x,
-                            weight_x, weight_x_squared)
+from wfgcpe.weights import (BUILTIN_WEIGHTS, weight_exp_neg, weight_one,
+                            weight_sqrt_x, weight_x, weight_x_squared)
 
 
 def uniform_closed(a, tag, g):
@@ -206,6 +207,34 @@ def test_affine_decomposition_law_on_every_family(model, g, a, b):
     want = a * a * cpe_x + a * b * cpe_1
     got = affine_wfgcpe(model, weight_x(), g, a, b)
     assert abs(got - want) <= 1e-12 * want
+
+
+#: The five families; Frechet's tail index above 3 keeps psi = x^2
+#: finite from gamma = 1 on
+FAMILY_MODELS = st.one_of(
+    st.builds(make_power, st.floats(0.5, 3.0), st.floats(0.5, 5.0)),
+    st.builds(make_uniform_shifted, st.floats(0.0, 3.0)),
+    st.builds(make_frechet, st.floats(0.5, 2.0), st.floats(3.5, 8.0)),
+    st.builds(make_weibull_square, st.floats(0.2, 5.0)),
+    st.builds(make_exponential, st.floats(0.2, 5.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(FAMILY_MODELS, st.sampled_from(sorted(BUILTIN_WEIGHTS)))
+def test_normalized_is_one_at_order_one(model, name):
+    got = normalized_wfgcpe(model, BUILTIN_WEIGHTS[name](), 1.0)
+    assert abs(got - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(FAMILY_MODELS, st.sampled_from(sorted(BUILTIN_WEIGHTS)),
+       st.just(1.0) | st.floats(0.3, 3.0), st.floats(1.0, 3.0))
+def test_prh_bound_direction_follows_eta(model, name, eta, g):
+    # K1^eta <= K1 for eta >= 1: CPE(X2) <= eta^g CPE(X1); reversed below
+    rep = prh_bound_check(model, eta, BUILTIN_WEIGHTS[name](), g)
+    assert rep.name == ("prh_upper_bound" if eta >= 1.0 else
+                        "prh_lower_bound")
+    assert rep.holds
 
 
 def test_rl_fractional_integral():

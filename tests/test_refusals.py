@@ -20,7 +20,8 @@ from wfgcpe.distributions import (PrhParameter, make_exponential,
 from wfgcpe.empirical import (as_sample, empirical_cdf,
                               exact_moments_self_weight)
 from wfgcpe.errors import DomainError, PreconditionUnmet
-from wfgcpe.measures import affine_wfgcpe, discrete_wfe, rl_fractional_integral
+from wfgcpe.measures import (affine_wfgcpe, discrete_wfe,
+                             rl_fractional_integral, tau)
 from wfgcpe.weights import power_weight, weight_x
 
 BASE = make_power(1.0, 2.0)
@@ -72,6 +73,15 @@ def _refusals():
     yield empirical_cdf, (as_sample([1.0, 2.0, 3.0]), math.nan)
     yield check_order, (BASE, BASE, "st", math.nan)
     yield check_order, (BASE, BASE, "st", 256.5)
+    # tau at NaN once read as tau at the start of the support
+    yield tau, (make_weibull_square(1.0), PSI, 1.0, math.nan)
+    for v in (*NON_FINITE, -math.inf):
+        yield prh_n_step, (BASE, 1.5, PSI, 1.0, 2, v)
+        yield prh_recurrence_step, (BASE, 1.5, PSI, 1.0, v)
+    # counts that validation let through, until numpy refused them
+    for reps, n in ((10.0, 5), (2.5, 5), (True, 5), (math.nan, 5),
+                    (20, 20.0)):
+        yield SimulationConfig, (reps, n, 1, BASE, PSI, 0.5)
     # every order of ``gammas`` is checked, and at least one is required
     for gammas in ([math.nan], [math.inf], [-1.0], [0.0], [0.5, math.nan],
                    []):

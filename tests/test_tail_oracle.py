@@ -569,6 +569,18 @@ def test_tau_deep_in_the_tail(family, u):
     assert abs(got - expected) <= 1e-9 * expected
 
 
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("u", [1e3, 1e4, 1e5])
+def test_tau_on_a_prh_model_where_its_cdf_rounds_to_1(u, gamma):
+    # K = K1^1.7 rounds to 1 past u = 1e3: the nodes in u start from
+    # ln(1 - K) at u, which only ln K1 keeps; -ln K = 1.7 x^-4
+    model = prh_transform(make_frechet(1.0, 4.0), 1.7)
+    expected = (1.7 ** gamma * u ** (1.0 - 4.0 * gamma)
+                / ((4.0 * gamma - 1.0) * math.gamma(gamma + 1.0)))
+    got = tau(model, BUILTIN_WEIGHTS["one"](), gamma, u)
+    assert abs(got - expected) <= 1e-12 * expected
+
+
 @pytest.mark.parametrize("b,c,name", [(0.7, 5.0, "one"), (0.7, 5.0, "x2"),
                                       (3.0, 10.0, "sqrtx")])
 def test_near_the_divergence_bound_the_tail_stays_on_the_rule(b, c, name):
