@@ -230,18 +230,17 @@ def mean_value_identity(m1: DistributionModel, m2: DistributionModel,
         raise PreconditionUnmet(f"means are equal ({mu1})")
     # entropy first: its gate, not the tau integrals, refuses a divergent tail
     lhs = wfgcpe(m1, psi, gamma).value
-    lo = min(m.support[0] for m in (m1, m2))
-    hi = max(m.support[1] for m in (m1, m2))
+    lo = m1.support[0]  # both kernels vanish off m1's support
 
     # E[tau1(X2)] collapses by Fubini to a single integral against K2.
     lc, lc2, p, exp = m1.log_cdf, m2.log_cdf, psi.psi, math.exp
-    e_tau_x2 = _log_kernel_integral(lc, lambda x: p(x) * exp(lc2(x)), gamma,
-                                    lo, hi, "tau", m1)[0]
+    e_tau_x2 = _log_kernel_integral(m1, lambda x: p(x) * exp(lc2(x)), gamma,
+                                    lo, "tau")[0]
 
     # E[tau1'(V)] with k_V = (K1 - K2) / (E X2 - E X1); tau1' <= 0.
     e_tau_prime_v = -_log_kernel_integral(
-        lc, lambda x: p(x) * (exp(lc(x)) - exp(lc2(x))), gamma, lo, hi,
-        "tau", m1)[0] / (mu2 - mu1)
+        m1, lambda x: p(x) * (exp(lc(x)) - exp(lc2(x))), gamma, lo,
+        "tau")[0] / (mu2 - mu1)
 
     rhs = e_tau_x2 + e_tau_prime_v * (mu1 - mu2)
     identity = CheckReport("mean_value_identity", lhs, rhs,
@@ -273,7 +272,7 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
     lo, hi = model.support
     finite = math.isfinite(hi)
     g1 = _gamma(gamma + 1.0)
-    lc, p = model.log_cdf, psi.psi
+    p = psi.psi
     # the mean is the residual kernel at psi = 1: its rule says where the
     # mean diverges
     try:
@@ -283,8 +282,7 @@ def bound_suite(model: DistributionModel, psi: WeightFunction, gamma: float,
         finite_mean = False
 
     # (a) -ln K >= 1 - K
-    rhs_a = _log_kernel_integral(lc, psi, gamma, lo, hi, "one_minus",
-                                 model)[0]
+    rhs_a = _log_kernel_integral(model, psi, gamma, lo, "one_minus")[0]
     reports.append(_verdict("one_minus_cdf_lower_bound", cpe, rhs_a,
                             upper=False))
 

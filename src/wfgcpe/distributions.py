@@ -18,7 +18,7 @@ from scipy.special import gamma as _gamma
 from .errors import (ConstraintError, DomainError, ValidationError,
                      require_nonnegative, require_positive)
 from .quadrature import Integrand, integrate
-from .weights import WeightFunction
+from .weights import WeightFunction, _pow
 
 _PROBE_POINTS = 1024
 _LN2 = math.log(2.0)
@@ -114,7 +114,8 @@ def _log_neg_log(la: float, lb: float) -> float:
 
 def _quantile_kernel(model: DistributionModel,
                      h: Optional[Callable[[float], float]], lo: float,
-                     powers: tuple, n: float = 0.0) -> Integrand:
+                     powers: tuple, n: float = 0.0,
+                     t: Optional[float] = None) -> Integrand:
     """The integral over ``x > lo`` of a kernel, in ``u = K(x)`` on (0, 1)
     at end logs (see ``Integrand``): the one route for an integral in
     ``u``, which keeps ``(1 - u)^{-1+e}`` growth near a divergence bound.
@@ -128,35 +129,57 @@ def _quantile_kernel(model: DistributionModel,
     which keeps both logs exact (``u`` as ``1 - w0 (1 - v)`` above 1/2),
     and ``du = w0 dv``. All but ``h(x)`` join the one ``exp`` as logs
     (``x^n`` as ``n ln x``); ``h`` past the largest float is ``inf``.
+    With ``t`` it is ``u = K(x)/K(t)``, of the past lifetime ``X | X <= t``
+    on ``(lo, t)``, at ``v = H(x)/H(t)``, ``H = -ln(1 - K)``: ``1 - K =
+    e^{-sigma}``, ``sigma = H(t) v``, keeps both logs of ``u`` exact, and
+    ``Q`` is smooth in ``sigma`` up to ``t``; in ``u``, ``e^l`` steps where
+    ``1 - u = (1 - K(t))/K(t)``. Where ``K(t)`` is 1 in the model's logs,
+    the past lifetime is ``X``.
     """
     c, r, a, b, m = powers
     ql, lw0 = model.quantile_logs, model.log_survival(lo)
     k0, log, log1p, exp = -math.expm1(lw0), math.log, math.log1p, math.exp
+    lkt, lwt = (0.0, -math.inf) if t is None else (model.log_cdf(t),
+                                                   model.log_survival(t))
+    if lkt == -math.inf:
+        raise DomainError(f"K(t)=0 at t={t}")
+    past, lh = lwt > -math.inf, _log_neg_log(lwt, lkt)  # ln H(t)
 
     def f(node):
-        lv, l1mv, lwt = node
-        lw = lw0 + l1mv
-        lu = (lv if not k0 else log1p(-exp(lw)) if lw < -_LN2
-              else log(k0 + exp(lw0 + lv)))
-        x, lx, l = ql(lu, lw)
+        lv, l1mv, s = node
+        if not past:
+            lw = lw0 + l1mv
+            lu = (lv if not k0 else log1p(-exp(lw)) if lw < -_LN2
+                  else log(k0 + exp(lw0 + lv)))
+            s += lw0
+            x, lx, l = ql(lu, lw)
+        else:  # du = e^{-sigma} H(t) dv / K(t)
+            sigma, lk = exp(lh + lv), _log1m_exp_of_log(lh + lv)
+            lw = _log1m_exp_of_log(lh + l1mv) - sigma - lkt
+            lu = lk - lkt if lw > -_LN2 else log1p(-exp(lw))
+            s += lh - sigma - lkt
+            x, lx, l = ql(lk, -sigma)
         try:
             p = 1.0 if h is None else h(x)
         except OverflowError:
             return math.inf
         if p == 0.0:  # no mass, where e^l may overflow
             return 0.0
-        return p * exp((c * _log_neg_log(lu, lw) if c else 0.0)
-                       + (r * _log_neg_log(lw, lu) if r else 0.0)
-                       + a * lu + b * lw + (m * l if m else 0.0)
-                       + (n * lx if n else 0.0) + lw0 + lwt)
+        if c:  # each nonzero power's log
+            s += c * _log_neg_log(lu, lw)
+        if r:
+            s += r * _log_neg_log(lw, lu)
+        if a:
+            s += a * lu
+        if b:
+            s += b * lw
+        if m:
+            s += m * l
+        if n:
+            s += n * lx
+        return p * exp(s)
 
     return Integrand(f, 0.0, 1.0, True)
-
-
-def _pow(a, p):
-    """``a ** p`` by ndarray rules for a float too: a scalar's ``**`` is
-    libm's ``pow``, and ``np.power`` skips the ndarray's ``sqrt``/``square``."""
-    return np.asarray(a, float) ** p
 
 
 def _log1m_exp(t: float) -> float:
@@ -165,6 +188,11 @@ def _log1m_exp(t: float) -> float:
     if t >= _LN2:
         return math.log1p(-math.exp(-t))
     return math.log(-math.expm1(-t)) if t > 0.0 else -math.inf
+
+
+def _log1m_exp_of_log(z: float) -> float:
+    """``ln(1 - e^{-e^z})``, ``z`` where ``e^z`` is below e^-40 (or 0)."""
+    return z if z < -40.0 else _log1m_exp(math.exp(z))
 
 
 def _refuse_divergent_tail(model: DistributionModel, psi: WeightFunction,
@@ -225,6 +253,10 @@ def make_uniform_shifted(a: float) -> DistributionModel:
         return sum(math.comb(n, k) * a ** (n - k) * (k + 2.0) ** -(g + 1.0)
                    for k in range(n, -1, -1))
 
+    def quantile_logs(lu, lw):  # lambda = 1/u
+        x = a + math.exp(lu)
+        return x, math.log(x) if a else lu, lu
+
     return DistributionModel(
         cdf=lambda x: np.clip(np.asarray(x, float) - a, 0.0, 1.0),
         pdf=lambda x: 1.0 if a < x < a + 1.0 else 0.0,
@@ -236,8 +268,7 @@ def make_uniform_shifted(a: float) -> DistributionModel:
                            else (0.0 if x >= a + 1.0 else -math.inf)),
         log_survival=lambda x: (math.log1p(a - x) if a < x < a + 1.0
                                 else (-math.inf if x >= a + 1.0 else 0.0)),
-        quantile_logs=lambda lu, lw: (  # lambda = 1/u
-            a + math.exp(lu), math.log(a + math.exp(lu)) if a else lu, lu),
+        quantile_logs=quantile_logs,
     )
 
 
@@ -527,13 +558,11 @@ def prh_n_step(base: DistributionModel, eta, psi: WeightFunction,
 
 
 def mean_inactivity_time(model: DistributionModel, t: float) -> float:
-    """``mu(t) = int_lo^t K(x) dx / K(t)`` for ``t`` inside the support."""
+    """``mu(t) = int_lo^t K(x) dx / K(t)`` for ``t`` inside the support:
+    ``int_0^1 e^l du`` in ``u = K(x)/K(t)``, as ``K dx = e^l du``, on the
+    past lifetime's nodes (see ``_quantile_kernel``)."""
     lo, hi = model.support
     if not lo < t <= hi:
         raise DomainError(f"t={t} outside support ({lo}, {hi})")
-    kt = math.exp(model.log_cdf(t))
-    if kt <= 0.0:
-        raise DomainError(f"K(t)=0 at t={t}")
-    num = integrate(Integrand(lambda x: math.exp(model.log_cdf(x)), lo,
-                              t)).value
-    return num / kt
+    return integrate(_quantile_kernel(model, None, lo,
+                                      (0.0, 0.0, 0.0, 0.0, 1.0), t=t)).value

@@ -8,9 +8,9 @@ together with its discrete, normalized, dynamic, residual and
 fractional-integral forms. Closed forms are dispatched through the model
 when available; everything else goes through adaptive quadrature. Every
 kernel integral, here and in ``analysis.bound_suite`` (a) and
-``analysis.mean_value_identity``, takes its variable from
-``_log_kernel_integral`` alone: x on a finite support, else ``u = K(x)``
-on (0, 1) in the one builder of integrands in u, ``_quantile_kernel``.
+``analysis.mean_value_identity``, runs in ``_log_kernel_integral``, in
+``u = K(x)`` on every support (the dynamic form on the past lifetime);
+only the Riemann-Liouville bridge, an independent route, runs in x.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.special import gamma as _gamma
 
 from .distributions import (DistributionModel, _quantile_kernel,
                             _refuse_divergent_tail)
-from .errors import (DegenerateNormalizer, DomainError,
+from .errors import (ConstraintError, DegenerateNormalizer, DomainError,
                      MonotonicityError, UnboundedSupport,
                      require_nonnegative, require_positive)
 from .quadrature import Integrand, QuadratureResult, integrate
@@ -41,62 +41,29 @@ class MeasureReport:
     quadrature: Optional[QuadratureResult] = None
 
 
-def _damped(log_k, psi, gamma: float):
-    def f(x):
-        lk = log_k(x)
-        return (0.0 if lk >= 0.0 or lk == -math.inf
-                else psi(x) * math.exp(lk) * (-lk) ** gamma)
-    return f
+#: Per kind: the powers in u of its kernel at ``gamma``
+_KINDS = {"past": lambda g: (g, 0.0, 0.0, 0.0, 1.0),
+          "tau": lambda g: (g, 0.0, -1.0, 0.0, 1.0),
+          "residual": lambda g: (0.0, g, -1.0, 1.0, 1.0),
+          "one_minus": lambda g: (0.0, 0.0, 0.0, g, 1.0)}
 
 
-def _undamped(log_k, psi, gamma: float):
-    def f(x):
-        lk = log_k(x)
-        return (0.0 if lk >= 0.0 or lk == -math.inf
-                else psi(x) * (-lk) ** gamma)
-    return f
-
-
-def _one_minus(log_k, psi, gamma: float):
-    def f(x):  # 1 - K as -expm1(ln K) keeps the tail
-        lk = log_k(x)
-        return (0.0 if lk >= 0.0 or lk == -math.inf
-                else psi(x) * math.exp(lk) * (-math.expm1(lk)) ** gamma)
-    return f
-
-
-#: Per kind: the integrand in x, and the powers in u at ``gamma``
-_KINDS = {
-    "past": (_damped, lambda g: (g, 0.0, 0.0, 0.0, 1.0)),
-    "tau": (_undamped, lambda g: (g, 0.0, -1.0, 0.0, 1.0)),
-    "residual": (_damped, lambda g: (0.0, g, -1.0, 1.0, 1.0)),
-    "one_minus": (_one_minus, lambda g: (0.0, 0.0, 0.0, g, 1.0)),
-}
-
-
-def _log_kernel_integral(log_k, psi, gamma: float, lo: float, hi: float,
-                         kind: str = "past", model=None,
+def _log_kernel_integral(model: DistributionModel, psi, gamma: float,
+                         lo: float, kind: str = "past", t=None,
                          ) -> tuple[float, QuadratureResult]:
-    """``(1/Gamma(gamma+1)) int_lo^hi psi(x) k(nl) dx``, ``nl = -log_k(x)``,
-    and the quadrature result behind it; ``kind`` picks ``k``:
-    ``e^{-nl} nl^gamma`` (``past``, and ``residual`` with ``log_k`` the
-    log-survival), ``nl^gamma`` (``tau``) or
-    ``e^{-nl} (1 - e^{-nl})^gamma`` (``one_minus``). The one choice of
-    variable for every kernel integral: x on a finite interval, else
-    ``u = K(x)`` of ``log_k``'s ``model`` in ``_quantile_kernel``, where
-    a ``WeightFunction`` with a ``power`` joins the log sum as ``p ln x``.
-
-    ``log_k`` is an exact log, so tails where ``K`` rounds to 1 keep their
-    mass; ``0 ln 0 = 0`` where it is 0 or infinite. A divergent integral
-    ends in ``NonConvergence`` from ``integrate``.
-    """
-    x_kernel, powers = _KINDS[kind]
+    """``(1/Gamma(gamma+1)) int_lo^s psi(x) k(x) dx``, ``s`` the end of
+    ``model``'s support (of the past lifetime ``X | X <= t`` with ``t``,
+    ``K`` its CDF), and its quadrature result. ``kind`` picks ``k``:
+    ``K (-ln K)^gamma`` (``past``), ``(-ln K)^gamma`` (``tau``), ``(1 - K)
+    (-ln(1 - K))^gamma`` (``residual``) or ``K (1 - K)^gamma``
+    (``one_minus``). The one route of every kernel integral: ``u = K(x)``
+    in ``_quantile_kernel``, where a ``WeightFunction`` with a ``power``
+    joins the log sum as ``p ln x``; a divergent one ends in
+    ``NonConvergence``."""
     n = getattr(psi, "power", None)
     psi = getattr(psi, "psi", psi)
     q = integrate(_quantile_kernel(model, psi if n is None else None, lo,
-                                   powers(gamma), n or 0.0)
-                  if math.isinf(hi) else
-                  Integrand(x_kernel(log_k, psi, gamma), lo, hi))
+                                   _KINDS[kind](gamma), n or 0.0, t))
     return float(q.value / _gamma(gamma + 1.0)), q
 
 
@@ -124,8 +91,7 @@ def wfgcpe(model: DistributionModel, psi: WeightFunction, gamma: float,
             raise DomainError(f"no closed form for family {model.family!r}, "
                               f"weight {psi.tag!r}, gamma {gamma:g}")
 
-    value, q = _log_kernel_integral(model.log_cdf, psi, gamma,
-                                    *model.support, model=model)
+    value, q = _log_kernel_integral(model, psi, gamma, model.support[0])
     return MeasureReport(value, QUADRATURE, q)
 
 
@@ -154,7 +120,11 @@ def normalized_wfgcpe(model: DistributionModel, psi: WeightFunction,
     ``DegenerateNormalizer``.
     """
     require_positive(gamma=gamma)
-    denom = weighted_cpe(model, psi)
+    try:
+        denom = weighted_cpe(model, psi)
+    except ConstraintError as exc:
+        raise ConstraintError(f"weighted CPE normalizer (gamma = 1) at "
+                              f"gamma {gamma:g}: {exc}") from None
     if not math.isfinite(denom) or denom <= 0.0:
         raise DegenerateNormalizer(
             f"weighted cumulative past entropy is {denom}")
@@ -174,19 +144,15 @@ def normalized_wfgcpe(model: DistributionModel, psi: WeightFunction,
 
 def dynamic_wfgcpe(model: DistributionModel, psi: WeightFunction,
                    gamma: float, t: float) -> float:
-    """Entropy of the past lifetime ``X | X <= t`` at inspection time ``t``."""
+    """Entropy of the past lifetime ``X | X <= t``, CDF ``K(x)/K(t)`` on
+    ``(lo, t)``: the past kernel in its own ``u`` (Di Crescenzo &
+    Longobardi, J. Statist. Plann. Inference 139, 2009), on nodes in its
+    cumulative hazard (see ``_quantile_kernel``)."""
     require_positive(gamma=gamma)
     lo, hi = model.support
     if not lo < t < hi:
         raise DomainError(f"t={t} outside open support ({lo}, {hi})")
-    nlt = -model.log_cdf(t)
-    if math.isinf(nlt):
-        raise DomainError(f"K(t)=0 at t={t}")
-
-    # ln(K(x)/K(t)) from the exact log-CDF difference
-    lc = model.log_cdf
-    return _log_kernel_integral(lambda x: lc(x) + nlt, psi.psi, gamma, lo,
-                                t)[0]
+    return _log_kernel_integral(model, psi, gamma, lo, t=t)[0]
 
 
 def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
@@ -202,8 +168,7 @@ def tau(model: DistributionModel, psi: WeightFunction, gamma: float,
     if u >= hi:
         return 0.0
     _refuse_divergent_tail(model, psi, gamma)
-    return _log_kernel_integral(model.log_cdf, psi, gamma, max(u, lo),
-                                hi, "tau", model)[0]
+    return _log_kernel_integral(model, psi, gamma, max(u, lo), "tau")[0]
 
 
 def wfgcre(model: DistributionModel, psi: WeightFunction,
@@ -211,8 +176,8 @@ def wfgcre(model: DistributionModel, psi: WeightFunction,
     """Residual form: ``(1/Gamma(gamma+1)) int psi Kbar (-ln Kbar)^gamma``."""
     require_positive(gamma=gamma)
     _refuse_divergent_tail(model, psi, gamma, residual=True)
-    return _log_kernel_integral(model.log_survival, psi, gamma,
-                                *model.support, "residual", model)[0]
+    return _log_kernel_integral(model, psi, gamma, model.support[0],
+                                "residual")[0]
 
 
 def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
@@ -226,8 +191,8 @@ def affine_wfgcpe(model: DistributionModel, psi: WeightFunction,
     require_nonnegative(b=b)
     _refuse_divergent_tail(model, psi, gamma)
     p = psi.psi
-    return a * _log_kernel_integral(model.log_cdf, lambda x: p(a * x + b),
-                                    gamma, *model.support, model=model)[0]
+    return a * _log_kernel_integral(model, lambda x: p(a * x + b), gamma,
+                                    model.support[0])[0]
 
 
 def rl_fractional_integral(f: Callable[[float], float],

@@ -6,10 +6,11 @@ singularity of ``u (-ln u)^gamma`` wherever the CDF approaches 0 or 1.
 On (0, 1) it can pass each node as the logs of ``u``, ``1 - u`` and its
 weight (see ``Integrand``), out to e^-34,599 of either end, where the
 decay absorbs any ``(1 - u)^{-1+e}`` growth (Mori & Sugihara, J. Comput.
-Appl. Math. 127, 2001): every integral in ``u = K(x)`` runs so, and the
-plain rule runs only integrals in x. QUADPACK (``scipy.integrate.quad``)
-takes a finite interval where the rule does not settle or a node raises,
-and a bare right-infinite ``Integrand``, which its QAGI maps onto (0, 1).
+Appl. Math. 127, 2001): every kernel integral runs so, in ``u = K(x)``;
+the plain rule runs in x the Riemann-Liouville bridge, the density check
+of ``_validate_model`` and the ``big_psi`` fallback. QUADPACK (scipy's
+``quad``) takes a finite interval where the rule does not settle or a
+node raises, and a bare right-infinite ``Integrand`` by its QAGI.
 One guard per node maps a non-finite value (endpoint underflow) to its
 continuous-limit value 0; under ``full_output`` scipy does not warn.
 """

@@ -26,6 +26,12 @@ CONSTANT = "constant"
 NEITHER = "neither"
 
 
+def _pow(a, p):
+    """``a ** p`` by ndarray rules for a float too: a scalar's ``**`` is
+    libm's ``pow``, and ``np.power`` skips the ndarray's ``sqrt``/``square``."""
+    return np.asarray(a, float) ** p
+
+
 def _array_call(fn, x: np.ndarray) -> Optional[np.ndarray]:
     """``fn(x)`` when ``fn`` takes arrays and keeps their shape, else
     ``None`` (a user callable written for floats)."""
@@ -101,13 +107,13 @@ def weight_x() -> WeightFunction:
 
 
 def weight_x_squared() -> WeightFunction:
-    return WeightFunction(lambda x: x * x, lambda x: x ** 3 / 3.0,
+    return WeightFunction(lambda x: x * x, lambda x: _pow(x, 3.0) / 3.0,
                           lambda x: 2.0 * x, INCREASING, "x2", 2.0, 2.0)
 
 
 def weight_sqrt_x() -> WeightFunction:
     return WeightFunction(lambda x: math.sqrt(x),
-                          lambda x: (2.0 / 3.0) * x ** 1.5,
+                          lambda x: (2.0 / 3.0) * _pow(x, 1.5),
                           lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf,
                           INCREASING, "sqrtx", 0.5, 0.5)
 
@@ -131,7 +137,7 @@ def power_weight(exponent: float) -> WeightFunction:
         return weight_one()
     p = float(exponent)
     return WeightFunction(lambda x: x ** p,
-                          lambda x: x ** (p + 1) / (p + 1),
+                          lambda x: _pow(x, p + 1) / (p + 1),
                           lambda x: p * x ** (p - 1) if x > 0 else 0.0,
                           INCREASING, f"pow{p:g}", p, p)
 

@@ -21,8 +21,8 @@ from wfgcpe.distributions import (DistributionModel, PrhParameter,
                                   prh_transform, prh_wfgcpe)
 from wfgcpe.errors import ConstraintError, DomainError, ValidationError
 from wfgcpe.measures import wfgcpe
-from wfgcpe.weights import (piecewise_linear_weight, power_weight,
-                            weight_exp_neg, weight_one, weight_x,
+from wfgcpe.weights import (BUILTIN_WEIGHTS, piecewise_linear_weight,
+                            power_weight, weight_one, weight_x,
                             weight_x_squared)
 
 GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.75)
@@ -337,6 +337,10 @@ def test_mean_inactivity_time():
     p = make_power(1.0, 2.0)
     assert abs(mean_inactivity_time(p, 1.0) - 1.0 / 3.0) < 1e-9
     assert mean_inactivity_time(u, 1e-4) < 1e-3
+    # K dx = e^l du on the past lifetime: no t - mean cancellation, and
+    # x - 400 is never formed
+    assert abs(mean_inactivity_time(make_uniform_shifted(400.0), 400.5)
+               - 0.25) <= 1e-16
     with pytest.raises(DomainError):
         mean_inactivity_time(u, 2.0)
     with pytest.raises(DomainError):
@@ -458,6 +462,10 @@ def test_floats_and_arrays_give_the_same_bits(model):
                                       [lo, hi])
 
 
-def test_exp_neg_antiderivative_gives_the_same_bits():
+@pytest.mark.parametrize("weight", [*BUILTIN_WEIGHTS, "pow1.5"])
+def test_weight_antiderivatives_give_the_same_bits(weight):
+    # Psi is one numpy body too: powers go through weights._pow
+    psi = (power_weight(1.5) if weight == "pow1.5"
+           else BUILTIN_WEIGHTS[weight]())
     xs = np.random.default_rng(2026).exponential(2.0, 20_000)
-    _same_bits(weight_exp_neg().antiderivative, xs)
+    _same_bits(psi.antiderivative, xs)

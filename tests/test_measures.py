@@ -11,8 +11,8 @@ from scipy.special import gamma as gamma_fn
 from wfgcpe.analysis import prh_bound_check
 from wfgcpe.distributions import (make_exponential, make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square)
-from wfgcpe.errors import (DegenerateNormalizer, DomainError,
-                           MonotonicityError, UnboundedSupport)
+from wfgcpe.errors import (ConstraintError, DegenerateNormalizer,
+                           DomainError, MonotonicityError, UnboundedSupport)
 from wfgcpe.measures import (affine_wfgcpe, discrete_wfe, dynamic_wfgcpe,
                              normalized_wfgcpe, rl_fractional_integral, tau,
                              weighted_cpe, wfgcpe, wfgcpe_gamma_zero_limit,
@@ -102,6 +102,15 @@ def test_normalized_limits():
     assert abs(normalized_wfgcpe(m, weight_x(), 1.0) - 1.0) <= 1e-9
     # gamma -> 0+ limit is int psi K dx = int x * x^2 dx = 1/4
     assert abs(normalized_wfgcpe(m, weight_x(), 1e-4) - 0.25) <= 1e-3
+
+
+def test_normalized_names_the_diverging_normalizer():
+    # Frechet(1, 1) with psi = 1 diverges for gamma <= 1: the entropy at
+    # gamma 3 exists, its gamma = 1 normalizer does not
+    with pytest.raises(ConstraintError,
+                       match=r"^weighted CPE normalizer \(gamma = 1\) at "
+                             r"gamma 3: .*diverges for gamma <= 1, got 1$"):
+        normalized_wfgcpe(make_frechet(1.0, 1.0), weight_one(), 3.0)
 
 
 @pytest.mark.parametrize("a, g", [(100.0, 7.5), (397.5, 2.5)])

@@ -174,14 +174,14 @@ def test_divergent_integral_raises_without_a_warning(f):
 
 
 # (model, weight, gamma) -> evaluations / subdivisions: the tanh-sinh
-# nodes and settled level, in x on the two finite supports and in u = K(x)
-# on the three right-infinite ones; all must stay put
+# nodes and settled level, in u = K(x) on the two finite supports and the
+# three right-infinite ones; all must stay put
 EVALUATION_COUNTS = [
-    (wfgcpe.make_power(1.0, 2.0), wfgcpe.weight_x(), 0.5, 115, 4),
+    (wfgcpe.make_power(1.0, 2.0), wfgcpe.weight_x(), 0.5, 55, 3),
     (wfgcpe.make_frechet(1.0, 4.0), wfgcpe.weight_x_squared(), 1.5, 69, 3),
     (wfgcpe.make_weibull_square(1.0), wfgcpe.weight_sqrt_x(), 0.25, 83, 3),
     (wfgcpe.make_exponential(1.0), wfgcpe.weight_exp_neg(), 2.75, 55, 3),
-    (wfgcpe.make_uniform_shifted(0.5), wfgcpe.weight_one(), 1.0, 51, 3),
+    (wfgcpe.make_uniform_shifted(0.5), wfgcpe.weight_one(), 1.0, 55, 3),
 ]
 
 
@@ -189,17 +189,15 @@ EVALUATION_COUNTS = [
                          EVALUATION_COUNTS)
 def test_evaluations_are_quadpack_neval_and_python_calls(
         model, weight, gamma, evaluations, subdivisions):
-    # the one model callable each node calls: ln K in x, the quantile in u
+    # the one model callable each node calls: the quantile in u
     calls = [0]
-    name = ("log_cdf" if math.isfinite(model.support[1])
-            else "quantile_logs")
-    inner = getattr(model, name)
+    inner = model.quantile_logs
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    model = dataclasses.replace(model, **{name: counted})
+    model = dataclasses.replace(model, quantile_logs=counted)
     q = wfgcpe.wfgcpe(model, weight, gamma, method="quadrature").quadrature
     assert (q.evaluations, q.subdivisions) == (evaluations, subdivisions)
     assert q.rule == "tanh_sinh"
@@ -272,16 +270,26 @@ def _count_quadpack(monkeypatch):
 
 
 def test_interior_kink_falls_back_to_quadpack(monkeypatch):
-    # K1 = min(x, 1) against uniform(0, 2): the kernel integrands have a
-    # kink at x = 1, the centre of (0, 2), where tanh-sinh does not settle
+    # |x - 1| on (0, 2) has a kink at the centre, where tanh-sinh does not
+    # settle
+    calls = _count_quadpack(monkeypatch)
+    q = integrate(Integrand(lambda x: abs(x - 1.0), 0.0, 2.0))
+    assert len(calls) == 1 and q.rule == "quadpack"
+    assert abs(q.value - 1.0) <= 1e-14
+
+
+def test_mean_value_identity_in_u_has_no_kink(monkeypatch):
+    # K1 = min(x, 1) against uniform(0, 2): in x = Q1(u) the kink at x = 1
+    # is the end of U(0, 1)'s support, so the rule settles
     calls = _count_quadpack(monkeypatch)
     identity, bound = mean_value_identity(
         wfgcpe.make_uniform_shifted(0.0), wfgcpe.make_power(2.0, 1.0),
         wfgcpe.weight_x(), 0.5)
-    assert len(calls) == 2
-    # the values QUADPACK alone gave for both kernel integrals
-    assert (identity.lhs, identity.rhs, bound.rhs) == (
-        0.19245008972987526, 0.19245008972988992, 0.09622504486494497)
+    assert not calls
+    assert identity.lhs == 0.19245008972987526  # 3^-1.5, the closed form
+    assert abs(identity.rhs - identity.lhs) <= 1e-16
+    # E[tau1(X2)] = int x (-ln x)^0.5 x/2 dx / Gamma(1.5): half the entropy
+    assert abs(bound.rhs - 0.5 * identity.lhs) <= 1e-16
 
 
 def test_node_error_near_an_end_falls_back_to_quadpack(monkeypatch):

@@ -2,9 +2,9 @@
 and exponential families and for the Frechet forms, typed refusals of
 divergent Frechet integrals before any quadrature (the PRH identities
 and expectation terms included), the PRH decomposition against the transformed model, and the
-closed forms by weight exponent against mpmath. The right-infinite kernels
-and the PRH terms run in u = K(x) on the tanh-sinh rule at its end
-logs."""
+closed forms by weight exponent against mpmath, and finite supports at
+large gamma. Every kernel and the PRH terms run in u = K(x) on the
+tanh-sinh rule at its end logs."""
 
 import dataclasses
 import json
@@ -18,12 +18,13 @@ from wfgcpe import cli, distributions, measures
 from wfgcpe.cli import EXIT_NONCONVERGENCE, EXIT_USAGE, main
 from wfgcpe.distributions import (make_exponential, make_frechet,
                                   make_power, make_uniform_shifted,
-                                  make_weibull_square,
+                                  make_weibull_square, mean_inactivity_time,
                                   prh_expectation_terms, prh_n_step,
                                   prh_recurrence_step, prh_transform,
                                   prh_wfgcpe)
 from wfgcpe.errors import ConstraintError, DomainError, NonConvergence
-from wfgcpe.measures import affine_wfgcpe, tau, wfgcpe, wfgcre
+from wfgcpe.measures import (affine_wfgcpe, dynamic_wfgcpe, tau, wfgcpe,
+                             wfgcre)
 from wfgcpe.weights import (BUILTIN_WEIGHTS, custom_weight, power_weight,
                             self_density_weight)
 
@@ -694,3 +695,139 @@ def test_compute_prints_the_far_tail_value(capsys):
     value = json.loads(capsys.readouterr().out)["rows"][0]["value"]
     assert code == 0
     assert abs(value - 252818.5247145362864) <= 1e-12 * value
+
+
+# ---------------------------------------------------------------------------
+# Finite supports in u = K(x): the mass within e^-gamma of a nonzero end
+# ---------------------------------------------------------------------------
+
+def _mp_power_wfgcre(c, name, gamma):
+    """Residual form of K = x^c on (0, 1), ln(1 - K) tail-exact."""
+    psi = MP_WEIGHTS[name]
+
+    def f(x):
+        log_s = _mp_log1m_exp(-c * mp.log(x))
+        return psi(x) * mp.exp(log_s) * (-log_s) ** gamma
+
+    with mp.workdps(40):
+        return float(mp.quad(f, [0, 0.5, 1]) / mp.gamma(gamma + 1))
+
+
+def _mp_uniform_expneg(a, j, gamma):
+    """``(1/Gamma(g+1)) int_0^1 e^{-(a+t)} t^{j-1} (-ln t)^g dt`` as
+    ``e^-a sum_k (-1)^k / (k! (k + j)^(g+1))``: ``tau`` at the support's
+    start for ``j = 1``, the entropy for ``j = 2``. Quadrature in t misses
+    the peak at t = e^-g."""
+    with mp.workdps(40):
+        return float(mp.exp(-a) * mp.nsum(
+            lambda k: (-1) ** k / (mp.factorial(k) * (k + j) ** (gamma + 1)),
+            [0, mp.inf]))
+
+
+U3, U400 = make_uniform_shifted(3.0), make_uniform_shifted(400.0)
+
+#: The x route ended the first five in NonConvergence and held the others
+#: no better than 1.7e-11, 7.7e-12, 2.9e-12, 59% and 1.6e-5.
+FINITE_SUPPORT_CELLS = {
+    "wfgcre/power/x/30": (
+        lambda: wfgcre(make_power(1.0, 4.0), BUILTIN_WEIGHTS["x"](), 30.0),
+        lambda: _mp_power_wfgcre(4.0, "x", 30.0)),
+    "tau/U3/one/10": (
+        lambda: tau(U3, BUILTIN_WEIGHTS["one"](), 10.0, 3.0), lambda: 1.0),
+    "dynamic/U3/one/30": (
+        lambda: dynamic_wfgcpe(U3, BUILTIN_WEIGHTS["one"](), 30.0, 3.5),
+        lambda: 0.5 * 2.0 ** -31),
+    "affine/U3/one/30": (
+        lambda: affine_wfgcpe(U3, BUILTIN_WEIGHTS["one"](), 30.0, 2.0, 1.0),
+        lambda: 2.0 ** -30),
+    "wfgcpe/U3/sqrtx/30": (
+        lambda: wfgcpe(U3, BUILTIN_WEIGHTS["sqrtx"](), 30.0,
+                       method="quadrature").value,
+        lambda: _mp_uniform(3.0, "sqrtx", 30.0)),
+    "dynamic/U3/one/20": (
+        lambda: dynamic_wfgcpe(U3, BUILTIN_WEIGHTS["one"](), 20.0, 3.5),
+        lambda: 0.5 * 2.0 ** -21),
+    "affine/U3/one/20": (
+        lambda: affine_wfgcpe(U3, BUILTIN_WEIGHTS["one"](), 20.0, 2.0, 1.0),
+        lambda: 2.0 ** -20),
+    "tau/U400/one/1": (
+        lambda: tau(U400, BUILTIN_WEIGHTS["one"](), 1.0, 400.0), lambda: 1.0),
+    "tau/U400/expneg/30": (
+        lambda: tau(U400, BUILTIN_WEIGHTS["expneg"](), 30.0, 0.0),
+        lambda: _mp_uniform_expneg(400, 1, 30)),
+    "wfgcpe/U400/expneg/30": (
+        lambda: wfgcpe(U400, BUILTIN_WEIGHTS["expneg"](), 30.0,
+                       method="quadrature").value,
+        lambda: _mp_uniform_expneg(400, 2, 30)),
+    "mean_inactivity/U400/400.5": (
+        lambda: mean_inactivity_time(U400, 400.5), lambda: 0.25),
+}
+
+
+# ---------------------------------------------------------------------------
+# The past lifetime X | X <= t where 1 - K(t) is far below 1e-13
+# ---------------------------------------------------------------------------
+
+def _mp_exponential_dynamic(name, gamma, t):
+    """Dynamic form of K = 1 - e^{-x} at t, ln(K(x)/K(t)) tail-exact; the
+    kernel ends like (t - x)^gamma at t."""
+    psi = MP_WEIGHTS[name]
+    with mp.workdps(40):
+        lkt = _mp_log1m_exp(mp.mpf(t))
+
+        def f(x):
+            nl = lkt - _mp_log1m_exp(x)
+            return psi(x) * mp.exp(-nl) * nl ** gamma if nl > 0 else 0
+
+        return float(mp.quad(f, [0, 1, t / 2, t - 1, t]) / mp.gamma(gamma + 1))
+
+
+def _mp_frechet_past(name, gamma, t):
+    """Dynamic form of Frechet(1, 4) at t (mean inactivity time for
+    ``name`` None): -ln(K(x)/K(t)) = x^-4 - t^-4."""
+    psi = MP_WEIGHTS.get(name)
+
+    def f(x):
+        d = x ** -4 - t ** -4
+        return (mp.exp(-d) if psi is None
+                else psi(x) * mp.exp(-d) * d ** gamma / mp.gamma(gamma + 1))
+
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        cuts = [mp.mpf(10) ** (k / 2) for k in range(-1, int(2 * mp.log10(t)))]
+        return float(mp.quad(f, [0, *cuts, t / 2, t]))
+
+
+#: Nodes in u = K(x)/K(t) miss the step of e^l where 1 - u meets
+#: (1 - K(t))/K(t): they ended the exponential cells in NonConvergence or
+#: up to 22% off. The x route held those, but gave 5.4e-20 and 6.2e-18 in
+#: place of the Frechet cells at gamma 1.5, and was 1.3e-5 and 1.2e-5 off
+#: on the other two.
+DEEP_PAST_CELLS = {
+    **{f"dynamic/exponential/{w}/{g}/35": (
+        lambda w=w, g=g: dynamic_wfgcpe(
+            FAMILIES["exponential"][0], BUILTIN_WEIGHTS[w](), g, 35.0),
+        lambda w=w, g=g: _mp_exponential_dynamic(w, g, 35))
+       for w in ("one", "x") for g in (0.05, 0.25)},
+    **{f"dynamic/frechet/{w}/{g}/1e5": (
+        lambda w=w, g=g: dynamic_wfgcpe(FRECHET, BUILTIN_WEIGHTS[w](), g,
+                                        1e5),
+        lambda w=w, g=g: _mp_frechet_past(w, g, 1e5))
+       for w, g in (("one", 1.5), ("x", 1.5), ("x", 0.25))},
+    **{f"mean_inactivity/exponential/{t:g}": (
+        lambda t=t: mean_inactivity_time(FAMILIES["exponential"][0], t),
+        lambda t=t: t / -math.expm1(-t) - 1.0)
+       for t in (35.0, 100.0)},
+    "mean_inactivity/frechet/1e5": (
+        lambda: mean_inactivity_time(FRECHET, 1e5),
+        lambda: _mp_frechet_past(None, None, 1e5)),
+}
+
+
+KERNEL_CELLS = {**FINITE_SUPPORT_CELLS, **DEEP_PAST_CELLS}
+
+
+@pytest.mark.parametrize("cell", sorted(KERNEL_CELLS))
+def test_kernel_cells_hold_1e12(cell):
+    got, expected = (f() for f in KERNEL_CELLS[cell])
+    assert abs(got - expected) <= 1e-12 * expected
