@@ -562,7 +562,7 @@ def mean_inactivity_time(model: DistributionModel, t: float) -> float:
     ``int_0^1 e^l du`` in ``u = K(x)/K(t)``, as ``K dx = e^l du``, on the
     past lifetime's nodes (see ``_quantile_kernel``)."""
     lo, hi = model.support
-    if not lo < t <= hi:
-        raise DomainError(f"t={t} outside support ({lo}, {hi})")
+    if not (lo < t <= hi and math.isfinite(t)):
+        raise DomainError(f"t={t} not finite in support ({lo}, {hi})")
     return integrate(_quantile_kernel(model, None, lo,
                                       (0.0, 0.0, 0.0, 0.0, 1.0), t=t)).value

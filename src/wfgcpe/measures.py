@@ -208,8 +208,8 @@ def rl_fractional_integral(f: Callable[[float], float],
     probe grid. ``h_prime`` defaults to a central finite difference.
     """
     require_positive(order=order)
-    if not a < t:
-        raise DomainError(f"require a < t, got ({a}, {t})")
+    if not (a < t and math.isfinite(a) and math.isfinite(t)):
+        raise DomainError(f"require finite a < t, got ({a}, {t})")
 
     grid = np.linspace(a, t, probe + 2)[1:-1]
     hv = np.array([h(x) for x in grid])

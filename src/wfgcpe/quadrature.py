@@ -1,18 +1,17 @@
 """Singularity-aware quadrature used by every analytic evaluation.
 
-A finite interval takes a fixed tanh-sinh rule (Takahasi & Mori, Publ.
-RIMS 9, 1974), whose double exponential decay absorbs the algebraic-log
-singularity of ``u (-ln u)^gamma`` wherever the CDF approaches 0 or 1.
-On (0, 1) it can pass each node as the logs of ``u``, ``1 - u`` and its
-weight (see ``Integrand``), out to e^-34,599 of either end, where the
-decay absorbs any ``(1 - u)^{-1+e}`` growth (Mori & Sugihara, J. Comput.
-Appl. Math. 127, 2001): every kernel integral runs so, in ``u = K(x)``;
-the plain rule runs in x the Riemann-Liouville bridge, the density check
-of ``_validate_model`` and the ``big_psi`` fallback. QUADPACK (scipy's
-``quad``) takes a finite interval where the rule does not settle or a
-node raises, and a bare right-infinite ``Integrand`` by its QAGI.
-One guard per node maps a non-finite value (endpoint underflow) to its
-continuous-limit value 0; under ``full_output`` scipy does not warn.
+One fixed tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974) takes
+every finite interval, on nodes of (0, 1) passed as the logs of ``u``,
+``1 - u`` and the weight (see ``Integrand``), out to e^-34,599 of either
+end: its double exponential decay absorbs the algebraic-log singularity
+of ``u (-ln u)^gamma`` and any ``(1 - u)^{-1+e}`` growth (Mori &
+Sugihara, J. Comput. Appl. Math. 127, 2001). Every kernel integral runs
+in ``u = K(x)``; an interval (a, b) in x takes the same nodes at ``x = a
++ (b - a) u``. QUADPACK (scipy's ``quad``) is the fallback where the rule
+does not settle or a node raises, and its QAGI takes a right-infinite
+interval in x. One guard per node maps a non-finite value (endpoint
+underflow) to its continuous-limit value 0; under ``full_output`` scipy
+does not warn.
 """
 
 from __future__ import annotations
@@ -33,13 +32,6 @@ DEFAULT_REL_TOL = 1e-9
 MAX_SUBDIVISIONS = 2 ** 10
 
 
-def _tanh_sinh_node(t: float) -> tuple:
-    """``(delta, weight)`` of the nodes ``+-(1 - delta)`` of (-1, 1) at
-    ``t``: ``delta = 2e/(1 + e)``, ``e = exp(-pi sinh t)``, is exact."""
-    e = math.exp(-math.pi * math.sinh(t))
-    return 2.0 * e / (1.0 + e), 2.0 * math.pi * math.cosh(t) * e / (1 + e)**2
-
-
 def _end_node(t: float) -> tuple:
     """``(ln u, ln(1 - u), ln w)`` of the node ``u = delta/2`` of (0, 1) at
     ``t``, and of its mirror ``1 - u``. Nothing underflows."""
@@ -49,69 +41,52 @@ def _end_node(t: float) -> tuple:
     return (-s - l1p, -l1p, lw), (-l1p, -s - l1p, lw)
 
 
-#: The nodes each level adds, for t in (0, 4] at step ``2**-level``, and
-#: in (0, 10] as end logs: t = 10 is e^-34,599 from an end.
-_TANH_SINH, _TANH_SINH_ENDS = ([[node(j / 2 ** k) for j in range(
-    1, t * 2 ** k + 1, 2 if k else 1)] for k in range(8)]
-    for node, t in ((_tanh_sinh_node, 4), (_end_node, 10)))
-#: The levels of ``_TANH_SINH_ENDS`` past level 0 at t <= 1, ..., 10.
-_ENDS_CUT = [[[]] + [nodes[:t << k >> 1] for k, nodes in
-                     enumerate(_TANH_SINH_ENDS) if k] for t in range(1, 11)]
+#: The centre ``u = 1/2`` and the ``(node, mirror)`` pairs each level adds,
+#: for t in (0, 10] at step ``2**-level``: t = 10 is e^-34,599 from an end.
+_CENTRE = (-math.log(2.0), -math.log(2.0), math.log(0.5 * math.pi))
+_TANH_SINH_ENDS = [[_end_node(j / 2 ** k) for j in range(
+    1, 10 * 2 ** k + 1, 2 if k else 1)] for k in range(8)]
+#: The levels past level 0 at t <= 1, ..., 10, flat in the order summed:
+#: each mirror before its node.
+_ENDS_CUT = [[[]] + [[x for pair in nodes[:t << k >> 1] for x in pair[::-1]]
+                     for k, nodes in enumerate(_TANH_SINH_ENDS) if k]
+             for t in range(1, 11)]
 #: The first level whose change from the previous one may end the rule.
 _TANH_SINH_MIN_LEVEL = 3
 
 
-def _tanh_sinh(ev, a: float, b: float, abs_tol: float, rel_tol: float,
-               logs: bool = False):
+def _tanh_sinh(ev, abs_tol: float, rel_tol: float):
     """``(value, error, level, evaluations)`` of the tanh-sinh rule on
-    (a, b); ``value`` is None if the levels do not settle or a node raises
-    an arithmetic or value error. The error is the last level's change.
-    With ``logs`` (see ``Integrand``) level 0 runs to t = 6, then on while
-    its last term exceeds 1e-18 of the absolute sum; the later levels stop
-    at the next t past the last such term, as they decay past it."""
+    (0, 1) for an end-log integrand (see ``Integrand``); ``value`` is None
+    if the levels do not settle or a node raises an arithmetic or value
+    error. The error is the last level's change. Level 0 runs to t = 6,
+    then on while its last term exceeds 1e-18 of the absolute sum; the
+    later levels stop at the next t past the last such term, as they decay
+    past it."""
     isfinite = math.isfinite
-    c, d = 0.5 * (a + b), 0.5 * (b - a)
     n, prev, prev_err = 1, math.nan, math.inf
     try:
-        if logs:
-            y = ev((-math.log(2.0), -math.log(2.0), math.log(0.5 * math.pi)))
-            total, terms = (y if isfinite(y) else 0.0), []
-            for node, mirror in _TANH_SINH_ENDS[0]:
-                n += 2
-                ys = [y for y in (ev(mirror), ev(node)) if isfinite(y)]
-                total += sum(ys)
-                terms.append(sum(map(abs, ys)))
-                small = 1e-18 * (sum(terms) + abs(total))
-                if len(terms) >= 6 and terms[-1] <= small:
-                    break
-            table = _ENDS_CUT[min(9, max([t for t, term in enumerate(
-                terms, 1) if term > small], default=0))]
-        else:
-            y = ev(c)
-            total = 0.5 * math.pi * y if isfinite(y) else 0.0
-            table = _TANH_SINH
+        y = ev(_CENTRE)
+        total, terms = (y if isfinite(y) else 0.0), []
+        for node, mirror in _TANH_SINH_ENDS[0]:
+            n += 1
+            y_mirror = ev(mirror)
+            n += 1
+            ys = [y for y in (y_mirror, ev(node)) if isfinite(y)]
+            total += sum(ys)
+            terms.append(sum(map(abs, ys)))
+            small = 1e-18 * (sum(terms) + abs(total))
+            if len(terms) >= 6 and terms[-1] <= small:
+                break
+        table = _ENDS_CUT[min(9, max([t for t, term in enumerate(
+            terms, 1) if term > small], default=0))]
         for level, nodes in enumerate(table):
-            if logs:
-                for node, mirror in nodes:
-                    n += 2
-                    for y in (ev(mirror), ev(node)):
-                        if isfinite(y):
-                            total += y
-            else:
-                for delta, w in nodes:
-                    x = b - d * delta
-                    if x < b:
-                        n += 1
-                        y = ev(x)
-                        if isfinite(y):
-                            total += w * y
-                    x = a + d * delta
-                    if x > a:
-                        n += 1
-                        y = ev(x)
-                        if isfinite(y):
-                            total += w * y
-            value = d * total / 2 ** level
+            for node in nodes:
+                n += 1
+                y = ev(node)
+                if isfinite(y):
+                    total += y
+            value = 0.5 * total / 2 ** level
             err = abs(value - prev)
             tol = 0.1 * max(abs_tol, rel_tol * abs(value))
             if level >= _TANH_SINH_MIN_LEVEL and err <= tol:
@@ -124,16 +99,34 @@ def _tanh_sinh(ev, a: float, b: float, abs_tol: float, rel_tol: float,
     return None, None, None, n
 
 
+def _in_u(ev, a: float, b: float, calls: list):
+    """``ev`` in x on (a, b) as an end-log integrand on (0, 1): ``x = a +
+    d u`` or ``b - d (1 - u)``, whichever end is nearer, at weight ``d w``,
+    ``d = b - a``. A node that rounds onto a or b counts 0 and is not
+    evaluated; ``calls[0]`` counts the calls of ``ev``."""
+    d, exp = b - a, math.exp
+
+    def g(node):
+        lu, l1mu, lw = node
+        x = a + d * exp(lu) if lu < l1mu else b - d * exp(l1mu)
+        if not a < x < b:
+            return 0.0
+        calls[0] += 1
+        return d * exp(lw) * ev(x)
+    return g
+
+
 @dataclass(frozen=True)
 class Integrand:
     """A scalar function on an open interval, in x, or with ``logs`` in u.
 
     ``eval`` must be finite on the open interior; the endpoints themselves
-    are never evaluated. ``hi`` may be ``inf``. With ``logs``, in ``u =
-    K(x)`` on (0, 1), ``eval((ln u, ln(1 - u), ln w))`` returns ``w f(u)``,
-    ``w`` inside the one ``exp`` that forms it, to e^-34,599 of either end.
-    A log sum past the largest float raises ``OverflowError``, a divergent
-    tail: the rule ends, and QUADPACK runs in u at ``ln w = 0``."""
+    are never evaluated, nor is a node in x that rounds onto one. ``hi``
+    may be ``inf``. With ``logs``, in ``u = K(x)`` on (0, 1), ``eval((ln u,
+    ln(1 - u), ln w))`` returns ``w f(u)``, ``w`` inside the one ``exp``
+    that forms it, to e^-34,599 of either end. A log sum past the largest
+    float raises ``OverflowError``, a divergent tail: the rule ends, and
+    QUADPACK runs in u at ``ln w = 0``."""
 
     eval: Callable[..., float]
     lo: float
@@ -150,9 +143,10 @@ class Integrand:
 @dataclass(frozen=True)
 class QuadratureResult:
     """QUADPACK's error estimate and ``last`` where it ran, else the
-    tanh-sinh rule's last change and level; ``evaluations`` counts every
-    Python call of the integrand: tanh-sinh nodes plus QUADPACK's ``neval``.
-    ``rule`` names the one that produced the value."""
+    tanh-sinh rule's last change and level. ``evaluations`` counts every
+    Python call of the integrand, QUADPACK's ``neval`` included; ``rule``
+    names the one that gave the value: the rule, on any finite interval in
+    u or in x, or QUADPACK, its fallback and the QAGI of a right-infinite x."""
 
     value: float
     abs_error_estimate: float
@@ -187,8 +181,11 @@ def integrate(
 
     ev, a, b, n = f.eval, f.lo, f.hi, 0
     if math.isfinite(b):
-        value, abs_err, level, n = _tanh_sinh(ev, a, b, abs_tol, rel_tol,
-                                              f.logs)
+        calls = [0]  # in x, as a node that rounds onto an end is no call
+        value, abs_err, level, n = _tanh_sinh(
+            ev if f.logs else _in_u(ev, a, b, calls), abs_tol, rel_tol)
+        if not f.logs:
+            n = calls[0]
         if value is not None:
             return QuadratureResult(value, abs_err, level, n)
 

@@ -1,5 +1,6 @@
-"""Import hygiene: no module of the package keeps an import it never uses,
-and importing the package and its CLI leaves ``scipy.stats`` unloaded.
+"""Import hygiene: no module of the package keeps an import it never uses
+nor a private name no module reads, and importing the package and its CLI
+leaves ``scipy.stats`` unloaded.
 
 No linter is installed, so this walks each module's syntax tree: a name
 bound by a module-level ``import`` must appear as a name somewhere in the
@@ -32,6 +33,36 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_names(tree):
+    """The module-level ``def``, ``class`` and assigned names that start
+    with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_read():
+    # a helper or table left behind when its last caller goes
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    private = {name for tree in trees for name in _private_names(tree)}
+    assert len(private) > 50
+    assert sorted(private - read) == []
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

@@ -10,7 +10,8 @@ from scipy.special import gamma as gamma_fn
 
 from wfgcpe.analysis import prh_bound_check
 from wfgcpe.distributions import (make_exponential, make_frechet, make_power,
-                                  make_uniform_shifted, make_weibull_square)
+                                  make_uniform_shifted, make_weibull_square,
+                                  prh_transform)
 from wfgcpe.errors import (ConstraintError, DegenerateNormalizer,
                            DomainError, MonotonicityError, UnboundedSupport)
 from wfgcpe.measures import (affine_wfgcpe, discrete_wfe, dynamic_wfgcpe,
@@ -261,12 +262,20 @@ def test_rl_fractional_integral():
         rl_fractional_integral(lambda t: 1.0, lambda t: t, 0.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("g", [0.5, 1.5])
+BRIDGE_MODELS = (make_power(1.0, 2.0), make_power(2.0, 0.5),
+                 make_power(1.0, 40.0), make_uniform_shifted(0.0),
+                 make_uniform_shifted(3.0),
+                 prh_transform(make_power(1.0, 2.0), 1.5))
+
+
+@pytest.mark.parametrize("g", [0.25, 0.5, 1.5, 2.75])
 def test_fractional_bridge(g):
-    p = make_power(1.0, 2.0)
-    bridged = wfgcpe_via_fractional_bridge(p, weight_x(), g)
-    direct = wfgcpe(p, weight_x(), g).value
-    assert abs(bridged - direct) <= 1e-5
+    # the Riemann-Liouville route, in x, against the kernel integral in u
+    for m in BRIDGE_MODELS:
+        for tag, make_psi in BUILTIN_WEIGHTS.items():
+            bridged = wfgcpe_via_fractional_bridge(m, make_psi(), g)
+            direct = wfgcpe(m, make_psi(), g).value
+            assert abs(bridged - direct) <= 1e-13 * direct, (m.params, tag)
     with pytest.raises(UnboundedSupport):
         wfgcpe_via_fractional_bridge(make_frechet(1.0, 4.0), weight_x(), 1.5)
 

@@ -14,9 +14,9 @@ import wfgcpe
 from wfgcpe.analysis import mean_value_identity
 from wfgcpe.errors import DomainError, NonConvergence
 from wfgcpe.measures import CLOSED_FORM, QUADRATURE
-from wfgcpe.quadrature import (_TANH_SINH, _TANH_SINH_MIN_LEVEL,
-                               DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Integrand,
-                               integrate)
+from wfgcpe.quadrature import (_ENDS_CUT, _TANH_SINH_ENDS,
+                               _TANH_SINH_MIN_LEVEL, DEFAULT_ABS_TOL,
+                               DEFAULT_REL_TOL, Integrand, integrate)
 from wfgcpe.weights import BUILTIN_WEIGHTS
 
 GAMMAS = (0.25, 0.5, 1.0, 1.5, 2.75)
@@ -323,16 +323,20 @@ def test_a_kink_stops_the_rule_after_level_4(monkeypatch):
     calls = _count_quadpack(monkeypatch)
     q = integrate(Integrand(f, 0.0, 1.0))
     assert len(calls) == 1
-    assert len(seen) - calls[0][2]["neval"] <= 1 + 2 * sum(
-        map(len, _TANH_SINH[:_TANH_SINH_MIN_LEVEL + 2]))
+    # the nodes through level 4 of the cut it runs: level 0 to t = 6 and
+    # the later levels to t = 4; a stop after level 5 adds up to 128 more
+    assert len(seen) - calls[0][2]["neval"] <= 1 + 2 * 6 + sum(
+        map(len, _ENDS_CUT[3][:_TANH_SINH_MIN_LEVEL + 2]))
     assert abs(q.value - 0.29) < 1e-14
 
 
-@pytest.mark.parametrize("level", range(_TANH_SINH_MIN_LEVEL, len(_TANH_SINH)))
+@pytest.mark.parametrize("level", range(_TANH_SINH_MIN_LEVEL,
+                                         len(_TANH_SINH_ENDS)))
 def test_tanh_sinh_weights_integrate_one(level):
     # every level the rule may stop at; below it the step is too coarse
-    weights = [w for nodes in _TANH_SINH[:level + 1] for _, w in nodes]
-    total = 0.5 * math.pi + 2.0 * math.fsum(weights)
+    weights = [math.exp(end[2]) for nodes in _TANH_SINH_ENDS[:level + 1]
+               for pair in nodes for end in pair]
+    total = 0.5 * math.pi + math.fsum(weights)
     assert abs(total / 2 ** level - 2.0) <= 1e-15
 
 

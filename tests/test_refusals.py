@@ -14,6 +14,7 @@ from wfgcpe.analysis import (SimulationConfig, check_order,
 from wfgcpe.distributions import (PrhParameter, make_exponential,
                                   make_frechet, make_power,
                                   make_uniform_shifted, make_weibull_square,
+                                  mean_inactivity_time,
                                   prh_expectation_terms, prh_n_step,
                                   prh_recurrence_step, prh_transform,
                                   prh_wfgcpe)
@@ -78,6 +79,10 @@ def _refusals():
     for v in (*NON_FINITE, -math.inf):
         yield prh_n_step, (BASE, 1.5, PSI, 1.0, 2, v)
         yield prh_recurrence_step, (BASE, 1.5, PSI, 1.0, v)
+        # an infinite end once reached np.linspace and quadrature
+        yield rl_fractional_integral, (math.exp, math.exp, 1.0, v, 1.0)
+        yield rl_fractional_integral, (math.exp, math.exp, 1.0, 0.0, v)
+        yield mean_inactivity_time, (make_exponential(1.0), v)
     # counts that validation let through, until numpy refused them
     for reps, n in ((10.0, 5), (2.5, 5), (True, 5), (math.nan, 5),
                     (20, 20.0)):
